@@ -2,8 +2,8 @@
  * @file
  * Microbenchmarks of the core numeric kernels: ANN forward and
  * training passes (the O(H(I+O)) inner loop the Section 5.4 footnote
- * analyses), ensemble prediction, cache accesses, and detailed
- * simulation throughput.
+ * analyses), ensemble prediction, cache accesses, and trace
+ * generation. Simulator throughput lives in micro_sim.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,8 +14,6 @@
 #include "ml/cross_validation.hh"
 #include "ml/explorer.hh"
 #include "sim/cache.hh"
-#include "sim/cacti.hh"
-#include "sim/core.hh"
 #include "study/spaces.hh"
 #include "util/rng.hh"
 #include "workload/generator.hh"
@@ -148,22 +146,6 @@ BM_CacheAccess(benchmark::State &state)
 }
 
 void
-BM_DetailedSimulation(benchmark::State &state)
-{
-    const auto trace = workload::generateBenchmarkTrace("gzip", 16384);
-    sim::MachineConfig cfg;
-    sim::CactiModel::applyLatencies(cfg);
-    sim::SimOptions opts;
-    opts.warmCaches = true;
-    for (auto _ : state) {
-        auto result = sim::simulate(trace, cfg, opts);
-        benchmark::DoNotOptimize(result.ipc);
-    }
-    state.counters["instr_per_sec"] = benchmark::Counter(
-        16384.0, benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void
 BM_TraceGeneration(benchmark::State &state)
 {
     for (auto _ : state) {
@@ -180,7 +162,6 @@ BENCHMARK(BM_AnnTrainEpoch)->Arg(16)->Arg(32);
 BENCHMARK(BM_AnnPredictBatch)->Arg(64)->Arg(1024);
 BENCHMARK(BM_EnsemblePredictSpace)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CacheAccess)->Arg(1)->Arg(8);
-BENCHMARK(BM_DetailedSimulation)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -1,7 +1,11 @@
 #include "sim/core.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <bit>
+#include <functional>
+#include <optional>
+#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -38,74 +42,187 @@ constexpr uint64_t kNotDone = ~0ull;
 /// ROB in any study so each in-flight trace index maps to its own slot.
 constexpr size_t kRobRing = 256;
 constexpr size_t kRobMask = kRobRing - 1;
+/// Completion-queue keys pack (doneAt << kSlotBits) | slot.
+constexpr int kSlotBits = 8;
+static_assert(kRobRing == size_t{1} << kSlotBits);
 /// Granularity (log2 bytes) of load/store disambiguation.
 constexpr int kDisambiguationShift = 3;
+/// End of a consumer list.
+constexpr uint16_t kNoLink = 0xffff;
 
 /** Per-ROB-entry bookkeeping. */
 struct RobEntry
 {
-    uint32_t idx = 0;          ///< absolute trace index
-    uint64_t doneAt = kNotDone;
+    uint32_t idx = 0;            ///< absolute trace index
+    uint64_t doneAt = kNotDone;  ///< completion cycle; kNotDone until issue
+    /// Head of the list of link nodes (one per source operand of a
+    /// younger op) waiting for this op to complete.
+    uint16_t consumers = kNoLink;
+    uint8_t waiting = 0;         ///< producers that have not completed
     OpClass cls = OpClass::IntAlu;
     bool fpDest = false;
     bool hasDest = false;
-    bool issued = false;
     bool mispredicted = false;
 };
 
+/** A set of ROB ring slots, walked in ring (age) order. */
+class RingSet
+{
+  public:
+    void set(size_t slot) { words_[slot >> 6] |= bit(slot); }
+    void clear(size_t slot) { words_[slot >> 6] &= ~bit(slot); }
+
+    /**
+     * Call fn(slot) for each member among the `count` slots starting
+     * at `first`, in ring order, until fn returns false. Each 64-slot
+     * word is read when the walk reaches it, so fn may clear the
+     * member it is given.
+     */
+    template <typename Fn>
+    void
+    forEach(size_t first, size_t count, Fn &&fn) const
+    {
+        while (count > 0) {
+            const size_t offset = first & 63;
+            const size_t take = std::min<size_t>(64 - offset, count);
+            uint64_t bits = words_[first >> 6] >> offset;
+            if (take < 64)
+                bits &= (1ull << take) - 1;
+            for (; bits; bits &= bits - 1) {
+                if (!fn(first + static_cast<size_t>(std::countr_zero(bits))))
+                    return;
+            }
+            first = (first + take) & kRobMask;
+            count -= take;
+        }
+    }
+
+  private:
+    static uint64_t bit(size_t slot) { return 1ull << (slot & 63); }
+
+    std::array<uint64_t, kRobRing / 64> words_{};
+};
+
+/** The state functional warming prepares: caches, predictor, BTB. */
+struct Structures
+{
+    explicit Structures(const MachineConfig &cfg)
+        : mem(cfg), predictor(cfg.bpEntries), btb(cfg.btbSets)
+    {
+    }
+
+    /** Functional warmup over trace [from, to): no timing. */
+    void
+    replay(const Trace &trace, const MachineConfig &cfg, size_t from,
+           size_t to)
+    {
+        uint32_t last_block = ~0u;
+        const uint32_t iblock = static_cast<uint32_t>(cfg.l1i.blockBytes);
+        for (size_t i = from; i < to; ++i) {
+            const TraceOp &op = trace.ops[i];
+            const uint32_t blk = op.pc / iblock;
+            if (blk != last_block) {
+                mem.warmFetch(op.pc);
+                last_block = blk;
+            }
+            if ((op.cls == OpClass::Load || op.cls == OpClass::Store) &&
+                !op.noWarm) {
+                mem.warmAccess(op.addr, op.cls == OpClass::Store);
+            }
+            if (op.cls == OpClass::Branch) {
+                predictor.update(op.pc, op.taken);
+                if (op.taken)
+                    btb.insert(op.pc);
+            }
+        }
+    }
+
+    MemorySystem mem;
+    TournamentPredictor predictor;
+    BranchTargetBuffer btb;
+};
+
+/** The trace range a SimOptions selects, clamped to the trace. */
+struct Range
+{
+    size_t begin;        ///< first measured instruction
+    size_t end;          ///< one past the last
+    size_t detailBegin;  ///< first instruction simulated in detail
+
+    Range(const SimOptions &opts, size_t trace_size)
+    {
+        end = std::min(opts.end, trace_size);
+        begin = std::min(opts.begin, end);
+        // Detailed warming: start simulating earlier, measure later.
+        detailBegin = begin > opts.detailedWarmup
+            ? begin - opts.detailedWarmup : 0;
+    }
+};
+
+/** Warm fresh structures the way `opts` asks. */
+Structures
+prepare(const Trace &trace, const MachineConfig &cfg,
+        const SimOptions &opts)
+{
+    Structures s(cfg);
+    const Range range(opts, trace.size());
+    if (opts.warmCaches)
+        s.replay(trace, cfg, 0, trace.size());
+    else if (opts.warmupInstructions > 0)
+        s.replay(trace, cfg,
+                 range.detailBegin > opts.warmupInstructions
+                     ? range.detailBegin - opts.warmupInstructions : 0,
+                 range.detailBegin);
+    return s;
+}
+
 /**
- * The core pipeline state machine; one instance per simulate() call.
+ * The core pipeline state machine; one instance per simulated range.
+ *
+ * Issue scheduling is event-driven. At dispatch an op links itself
+ * into the consumer lists of its in-flight producers that have not
+ * completed. Issued ops enter a completion queue (a min-heap keyed by
+ * completion cycle); issue() first retires the due completions, each
+ * waking its consumers, and an op whose last producer has completed
+ * joins an age-ordered ready set. issue() walks only that set, and
+ * nextEventCycle() reads the head of the completion queue.
  */
 class Pipeline
 {
   public:
-    Pipeline(const Trace &trace, const MachineConfig &cfg)
-        : trace_(trace), cfg_(cfg), mem_(cfg),
-          predictor_(cfg.bpEntries), btb_(cfg.btbSets)
+    Pipeline(const Trace &trace, const MachineConfig &cfg, Structures s)
+        : trace_(trace), cfg_(cfg), mem_(std::move(s.mem)),
+          predictor_(std::move(s.predictor)), btb_(std::move(s.btb))
     {
         if (static_cast<size_t>(cfg.robSize) >= kRobRing)
             throw std::invalid_argument("ROB too large for ROB ring");
         rob_.resize(kRobRing);
-        pending_.reserve(static_cast<size_t>(cfg.robSize));
     }
 
     SimResult
     run(const SimOptions &opts)
     {
-        const size_t end = std::min(opts.end, trace_.ops.size());
-        const size_t begin = std::min(opts.begin, end);
-        // Detailed warming: start simulating earlier, measure later.
-        const size_t detail_begin = begin > opts.detailedWarmup
-            ? begin - opts.detailedWarmup : 0;
-        const size_t skip = begin - detail_begin;
-
-        if (opts.warmCaches)
-            warmup(0, trace_.ops.size());
-        else if (opts.warmupInstructions > 0)
-            warmup(detail_begin > opts.warmupInstructions
-                       ? detail_begin - opts.warmupInstructions : 0,
-                   detail_begin);
+        const Range range(opts, trace_.size());
+        const size_t skip = range.begin - range.detailBegin;
         mem_.resetStats();
 
-        fetchIdx_ = detail_begin;
-        end_ = end;
-        headIdx_ = static_cast<uint32_t>(detail_begin);
+        fetchIdx_ = range.detailBegin;
+        end_ = range.end;
+        headIdx_ = static_cast<uint32_t>(range.detailBegin);
 
         uint64_t cycle = 0;
         uint64_t measure_start_cycle = 0;
         bool measuring = skip == 0;
         const uint64_t cycle_cap =
-            20000ull * (end - detail_begin) + 1000000;
-        while (committed_ < end - detail_begin) {
+            20000ull * (range.end - range.detailBegin) + 1000000;
+        while (committed_ < range.end - range.detailBegin) {
             const size_t before_committed = committed_;
-            const size_t before_pending = pending_.size();
             const size_t before_fetch = fetchIdx_;
             commit(cycle);
-            issue(cycle);
+            const int issued = issue(cycle);
             fetchAndDispatch(cycle);
 
-            if (committed_ == before_committed &&
-                pending_.size() == before_pending &&
+            if (committed_ == before_committed && issued == 0 &&
                 fetchIdx_ == before_fetch) {
                 // Nothing moved: jump to the next event (a completion
                 // or the fetch-resume point) instead of idling one
@@ -128,7 +245,8 @@ class Pipeline
 
         SimResult res;
         res.cycles = cycle - measure_start_cycle;
-        res.instructions = end - begin;
+        res.instructions = range.end - range.begin;
+        // Divides by every cycle, detailed-warmup prefix included.
         res.ipc = cycle ? static_cast<double>(res.instructions) /
             static_cast<double>(cycle) : 0.0;
         res.l1dAccesses = mem_.l1d().accesses();
@@ -157,41 +275,12 @@ class Pipeline
     uint64_t
     nextEventCycle(uint64_t cycle) const
     {
-        uint64_t next = ~0ull;
-        for (size_t i = 0; i < robCount_; ++i) {
-            const RobEntry &e = rob_[(headIdx_ + i) & kRobMask];
-            if (e.issued && e.doneAt > cycle)
-                next = std::min(next, e.doneAt);
-        }
+        // issue() retired every completion at or before `cycle`.
+        uint64_t next = completions_.empty()
+            ? ~0ull : completions_.top() >> kSlotBits;
         if (!waitingBranch_ && fetchIdx_ < end_ && fetchResume_ > cycle)
             next = std::min(next, fetchResume_);
         return next == ~0ull ? cycle + 1 : next;
-    }
-
-    /** Functional warmup: touch caches and predictor, no timing. */
-    void
-    warmup(size_t from, size_t to)
-    {
-        uint32_t last_block = ~0u;
-        const uint32_t iblock =
-            static_cast<uint32_t>(cfg_.l1i.blockBytes);
-        for (size_t i = from; i < to; ++i) {
-            const TraceOp &op = trace_.ops[i];
-            const uint32_t blk = op.pc / iblock;
-            if (blk != last_block) {
-                mem_.warmFetch(op.pc);
-                last_block = blk;
-            }
-            if ((op.cls == OpClass::Load || op.cls == OpClass::Store) &&
-                !op.noWarm) {
-                mem_.warmAccess(op.addr, op.cls == OpClass::Store);
-            }
-            if (op.cls == OpClass::Branch) {
-                predictor_.update(op.pc, op.taken);
-                if (op.taken)
-                    btb_.insert(op.pc);
-            }
-        }
     }
 
     bool
@@ -200,18 +289,20 @@ class Pipeline
         return robCount_ == static_cast<size_t>(cfg_.robSize);
     }
 
-    RobEntry &robAt(uint32_t trace_idx) { return rob_[trace_idx & kRobMask]; }
-
-    /** Does an older unissued store write this load's block? */
+    /** Does an unissued store older than the load in `slot` write
+     *  `addr`'s block? */
     bool
-    conflictsWithOlderStore(uint64_t addr) const
+    conflictsWithOlderStore(size_t slot, uint64_t addr) const
     {
         const uint64_t block = addr >> kDisambiguationShift;
-        for (uint64_t b : unissuedStoreBlocks_) {
-            if (b == block)
-                return true;
-        }
-        return false;
+        const size_t head = headIdx_ & kRobMask;
+        bool conflict = false;
+        unissuedStores_.forEach(head, (slot - head) & kRobMask,
+                                [&](size_t s) {
+            conflict = storeBlock_[s] == block;
+            return !conflict;
+        });
+        return conflict;
     }
 
     /** Can this op be dispatched given current resource occupancy? */
@@ -250,6 +341,29 @@ class Pipeline
         return true;
     }
 
+    /**
+     * Record the dependence of the op in `slot` on the producer `dist`
+     * instructions back, through link node `link`, unless that
+     * producer has already completed by `cycle`.
+     */
+    void
+    dependOn(size_t slot, uint16_t link, int32_t dist, uint64_t cycle)
+    {
+        RobEntry &c = rob_[slot];
+        // dist > idx would reach before the trace: no producer.
+        if (dist <= 0 || static_cast<uint32_t>(dist) > c.idx)
+            return;
+        const uint32_t producer = c.idx - static_cast<uint32_t>(dist);
+        if (producer < headIdx_)
+            return;  // already committed
+        RobEntry &p = rob_[producer & kRobMask];
+        if (p.doneAt <= cycle)
+            return;  // already complete
+        links_[link] = p.consumers;
+        p.consumers = link;
+        ++c.waiting;
+    }
+
     void
     fetchAndDispatch(uint64_t cycle)
     {
@@ -277,17 +391,28 @@ class Pipeline
                 return;
 
             // Allocate the ROB entry.
-            RobEntry &e = rob_[fetchIdx_ & kRobMask];
+            const size_t rob_slot = fetchIdx_ & kRobMask;
+            RobEntry &e = rob_[rob_slot];
             e.idx = static_cast<uint32_t>(fetchIdx_);
             e.cls = op.cls;
             e.fpDest = op.fpDest;
             e.hasDest = op.cls != OpClass::Store &&
                 op.cls != OpClass::Branch;
-            e.issued = false;
             e.mispredicted = false;
             e.doneAt = kNotDone;
+            e.waiting = 0;
+            e.consumers = kNoLink;
             ++robCount_;
-            pending_.push_back(e.idx);
+
+            const auto link = static_cast<uint16_t>(2 * rob_slot);
+            dependOn(rob_slot, link, op.src1, cycle);
+            dependOn(rob_slot, link + 1, op.src2, cycle);
+            if (e.waiting == 0)
+                ready_.set(rob_slot);
+            if (op.cls == OpClass::Store) {
+                unissuedStores_.set(rob_slot);
+                storeBlock_[rob_slot] = op.addr >> kDisambiguationShift;
+            }
 
             if (e.hasDest) {
                 if (e.fpDest)
@@ -331,87 +456,72 @@ class Pipeline
         }
     }
 
-    /** Is the producer `dist` instructions back ready at `cycle`? */
-    bool
-    sourceReady(uint32_t idx, int32_t dist, uint64_t cycle) const
-    {
-        // dist > idx would reach before the trace: no producer.
-        if (dist <= 0 || static_cast<uint32_t>(dist) > idx)
-            return true;
-        const uint32_t producer = idx - static_cast<uint32_t>(dist);
-        if (producer < headIdx_)
-            return true;  // already committed
-        const RobEntry &p = rob_[producer & kRobMask];
-        return p.issued && p.doneAt <= cycle;
-    }
-
-    void
+    /** Issue ready ops at `cycle`; returns how many issued. */
+    int
     issue(uint64_t cycle)
     {
+        // Retire due completions and wake their consumers. The
+        // producer may have committed this cycle, but its slot is not
+        // reused before fetchAndDispatch().
+        while (!completions_.empty() &&
+               (completions_.top() >> kSlotBits) <= cycle) {
+            RobEntry &p = rob_[completions_.top() & kRobMask];
+            completions_.pop();
+            for (uint16_t l = p.consumers; l != kNoLink; l = links_[l]) {
+                if (--rob_[l >> 1].waiting == 0)
+                    ready_.set(l >> 1);
+            }
+            p.consumers = kNoLink;
+        }
+
+        // Every op in the ready set has its operands available; visit
+        // them oldest first. An op issued now completes at cycle + 1
+        // or later, so nothing it wakes joins this walk.
         int issued = 0;
         int int_used = 0, fp_used = 0, ld_used = 0, st_used = 0;
-        // Blocks of older not-yet-issued stores, for memory
-        // disambiguation: a load may bypass older stores unless one
-        // writes its block (then it waits — conservative forwarding).
-        unissuedStoreBlocks_.clear();
+        ready_.forEach(headIdx_ & kRobMask, robCount_, [&](size_t slot) {
+            if (issued >= cfg_.issueWidth)
+                return false;
+            RobEntry &e = rob_[slot];
+            const TraceOp &op = trace_.ops[e.idx];
 
-        size_t keep = 0;
-        for (size_t i = 0; i < pending_.size(); ++i) {
-            const uint32_t idx = pending_[i];
-            RobEntry &e = robAt(idx);
-            assert(e.idx == idx);
-            const TraceOp &op = trace_.ops[idx];
-
-            bool can_issue = issued < cfg_.issueWidth;
-
-            if (can_issue) {
-                switch (e.cls) {
-                  case OpClass::IntAlu:
-                  case OpClass::IntMul:
-                  case OpClass::Branch:
-                    can_issue = int_used < cfg_.intAluUnits;
-                    break;
-                  case OpClass::FpAlu:
-                  case OpClass::FpMul:
-                    can_issue = fp_used < cfg_.fpUnits;
-                    break;
-                  case OpClass::Load:
-                    can_issue = ld_used < cfg_.loadPorts &&
-                        !conflictsWithOlderStore(op.addr);
-                    break;
-                  case OpClass::Store:
-                    can_issue = st_used < cfg_.storePorts;
-                    break;
-                }
+            bool can_issue = false;
+            switch (e.cls) {
+              case OpClass::IntAlu:
+              case OpClass::IntMul:
+              case OpClass::Branch:
+                can_issue = int_used < cfg_.intAluUnits;
+                break;
+              case OpClass::FpAlu:
+              case OpClass::FpMul:
+                can_issue = fp_used < cfg_.fpUnits;
+                break;
+              case OpClass::Load:
+                // A load may bypass older stores unless one writes its
+                // block (then it waits — conservative forwarding).
+                can_issue = ld_used < cfg_.loadPorts &&
+                    !conflictsWithOlderStore(slot, op.addr);
+                break;
+              case OpClass::Store:
+                can_issue = st_used < cfg_.storePorts;
+                break;
             }
-
-            if (can_issue) {
-                can_issue = sourceReady(idx, op.src1, cycle) &&
-                    sourceReady(idx, op.src2, cycle);
-            }
+            if (!can_issue)
+                return true;
 
             uint64_t done = 0;
-            if (can_issue) {
-                if (e.cls == OpClass::Load) {
-                    done = mem_.load(op.addr, cycle + 1);
-                    if (done == 0)
-                        can_issue = false;  // MSHRs full, retry
-                } else if (e.cls == OpClass::Store) {
-                    mem_.store(op.addr, cycle + 1);
-                    done = cycle + 1 + execLatency(e.cls);
-                } else {
-                    done = cycle + 1 +
-                        static_cast<uint64_t>(execLatency(e.cls));
-                }
-            }
-
-            if (!can_issue) {
-                if (e.cls == OpClass::Store) {
-                    unissuedStoreBlocks_.push_back(
-                        op.addr >> kDisambiguationShift);
-                }
-                pending_[keep++] = idx;
-                continue;
+            if (e.cls == OpClass::Load) {
+                done = mem_.load(op.addr, cycle + 1);
+                // MSHRs full: retry later. The L1D line is already
+                // allocated by this attempt, so the retry hits.
+                if (done == 0)
+                    return true;
+            } else if (e.cls == OpClass::Store) {
+                mem_.store(op.addr, cycle + 1);
+                done = cycle + 1 + execLatency(e.cls);
+            } else {
+                done = cycle + 1 +
+                    static_cast<uint64_t>(execLatency(e.cls));
             }
 
             // Issue.
@@ -431,10 +541,12 @@ class Pipeline
                 break;
               case OpClass::Store:
                 ++st_used;
+                unissuedStores_.clear(slot);
                 break;
             }
-            e.issued = true;
             e.doneAt = done;
+            ready_.clear(slot);
+            completions_.push((done << kSlotBits) | slot);
 
             if (e.cls == OpClass::Branch && e.mispredicted) {
                 // Redirect: fetch restarts after resolution plus the
@@ -443,8 +555,9 @@ class Pipeline
                     static_cast<uint64_t>(cfg_.mispredictPenaltyCycles);
                 waitingBranch_ = false;
             }
-        }
-        pending_.resize(keep);
+            return true;
+        });
+        return issued;
     }
 
     void
@@ -452,7 +565,7 @@ class Pipeline
     {
         for (int c = 0; c < cfg_.commitWidth && robCount_ > 0; ++c) {
             RobEntry &head = rob_[headIdx_ & kRobMask];
-            if (!head.issued || head.doneAt > cycle)
+            if (head.doneAt > cycle)
                 break;
             if (head.hasDest) {
                 if (head.fpDest)
@@ -488,8 +601,15 @@ class Pipeline
     std::vector<RobEntry> rob_;
     size_t robCount_ = 0;
     uint32_t headIdx_ = 0;  ///< trace index of the oldest in-flight op
-    std::vector<uint32_t> pending_;
-    std::vector<uint64_t> unissuedStoreBlocks_;
+
+    /// Consumer-list links: node 2s + k is source k of the op in slot s.
+    std::array<uint16_t, 2 * kRobRing> links_{};
+    RingSet ready_;            ///< ops free to issue this cycle
+    RingSet unissuedStores_;   ///< dispatched stores not yet issued
+    std::array<uint64_t, kRobRing> storeBlock_{};  ///< store's 8B block
+    /// (doneAt << kSlotBits | slot) of issued ops not yet retired.
+    std::priority_queue<uint64_t, std::vector<uint64_t>,
+                        std::greater<uint64_t>> completions_;
 
     size_t fetchIdx_ = 0;
     size_t end_ = 0;
@@ -514,8 +634,26 @@ SimResult
 simulate(const Trace &trace, const MachineConfig &cfg,
          const SimOptions &opts)
 {
-    Pipeline pipeline(trace, cfg);
-    return pipeline.run(opts);
+    return Pipeline(trace, cfg, prepare(trace, cfg, opts)).run(opts);
+}
+
+std::vector<SimResult>
+simulateIntervals(const Trace &trace, const MachineConfig &cfg,
+                  const std::vector<SimOptions> &runs)
+{
+    std::vector<SimResult> out;
+    out.reserve(runs.size());
+    std::optional<Structures> warm;
+    for (const auto &opts : runs) {
+        if (!opts.warmCaches) {
+            out.push_back(simulate(trace, cfg, opts));
+            continue;
+        }
+        if (!warm)
+            warm = prepare(trace, cfg, opts);
+        out.push_back(Pipeline(trace, cfg, *warm).run(opts));
+    }
+    return out;
 }
 
 } // namespace sim

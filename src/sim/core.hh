@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "sim/config.hh"
 #include "workload/trace.hh"
@@ -68,6 +69,18 @@ struct SimOptions
  */
 SimResult simulate(const workload::Trace &trace, const MachineConfig &cfg,
                    const SimOptions &opts = {});
+
+/**
+ * Simulate several ranges of one trace on one configuration, as
+ * SimPoint and SMARTS estimates do. Runs with warmCaches set replay
+ * the trace functionally once and each starts from a copy of that
+ * state, so every result equals simulate(trace, cfg, runs[i]).
+ *
+ * @return one result per run, in order
+ */
+std::vector<SimResult>
+simulateIntervals(const workload::Trace &trace, const MachineConfig &cfg,
+                  const std::vector<SimOptions> &runs);
 
 } // namespace sim
 } // namespace dse

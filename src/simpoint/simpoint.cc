@@ -88,24 +88,29 @@ estimateIpc(const workload::Trace &trace, const sim::MachineConfig &cfg,
     if (points.intervals.empty())
         throw std::invalid_argument("no simulation points");
 
-    // Weighted harmonic-style combination: weights apply to CPI
-    // (cycles per instruction accumulate linearly over intervals).
-    double weighted_cpi = 0.0;
-    double total_weight = 0.0;
-    SimPointEstimate est;
-    for (size_t i = 0; i < points.intervals.size(); ++i) {
+    std::vector<sim::SimOptions> runs;
+    for (size_t interval : points.intervals) {
         sim::SimOptions opts;
-        opts.begin = points.intervals[i] * points.intervalLength;
+        opts.begin = interval * points.intervalLength;
         opts.end = opts.begin + points.intervalLength;
         opts.warmCaches = true;  // same steady state as full runs
         // Detailed warming: half an interval of pre-roll drains the
         // pipeline-fill transient out of the measurement.
         opts.detailedWarmup = points.intervalLength / 2;
-        const auto result = sim::simulate(trace, cfg, opts);
-        weighted_cpi += points.weights[i] / std::max(result.ipc, 1e-9);
+        runs.push_back(opts);
+    }
+    const auto results = sim::simulateIntervals(trace, cfg, runs);
+
+    // Weighted harmonic-style combination: weights apply to CPI
+    // (cycles per instruction accumulate linearly over intervals).
+    double weighted_cpi = 0.0;
+    double total_weight = 0.0;
+    SimPointEstimate est;
+    for (size_t i = 0; i < runs.size(); ++i) {
+        weighted_cpi += points.weights[i] / std::max(results[i].ipc, 1e-9);
         total_weight += points.weights[i];
         est.instructionsSimulated +=
-            points.intervalLength + opts.detailedWarmup;
+            points.intervalLength + runs[i].detailedWarmup;
     }
     est.ipc = total_weight / weighted_cpi;
     return est;

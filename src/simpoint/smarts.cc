@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/core.hh"
 
@@ -19,15 +20,19 @@ smartsEstimateIpc(const workload::Trace &trace,
     if (n_units == 0)
         throw std::invalid_argument("trace shorter than one unit");
 
-    SmartsEstimate est;
-    double cpi_sum = 0.0;
+    std::vector<sim::SimOptions> runs;
     for (size_t u = opts.phase % opts.cadence; u < n_units;
          u += opts.cadence) {
         sim::SimOptions sim_opts;
         sim_opts.begin = u * opts.unitInstructions;
         sim_opts.end = sim_opts.begin + opts.unitInstructions;
         sim_opts.warmCaches = true;  // continuous functional warming
-        const auto result = sim::simulate(trace, cfg, sim_opts);
+        runs.push_back(sim_opts);
+    }
+
+    SmartsEstimate est;
+    double cpi_sum = 0.0;
+    for (const auto &result : sim::simulateIntervals(trace, cfg, runs)) {
         cpi_sum += 1.0 / std::max(result.ipc, 1e-9);
         est.instructionsSimulated += opts.unitInstructions;
         ++est.unitsSampled;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -278,6 +279,15 @@ TEST(ServeShutdown, StopDrainsQueuedRequests)
     constexpr int kQueued = 3;
     for (int i = 0; i < kQueued; ++i)
         client.sendFrame(serve::MsgType::PredictPoints, payload);
+    // Sent is not queued: stop() stops reading sockets, so wait until
+    // the I/O thread has queued every request before asking for it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.statsSnapshot().queueDepth < kQueued &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server.statsSnapshot().queueDepth,
+              static_cast<uint64_t>(kQueued));
 
     // stop() unfreezes the workers, answers everything queued,
     // flushes, then closes: the client must see every reply and only

@@ -273,7 +273,8 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.app);
     });
 
-/** Deterministic 64-bit LCG for the hand-built traces. */
+/** Deterministic 64-bit LCG for the hand-built traces, local so the
+ *  pins depend on nothing but the simulator. */
 class Lcg
 {
   public:
@@ -354,7 +355,8 @@ robWrapTrace()
         if (i % 7 == 0)
             ops.push_back(op(OpClass::Load, 0x100000 + 4096 * i, 7));
         else
-            ops.push_back(op(OpClass::IntAlu, 0, 1, static_cast<int32_t>(i % 5)));
+            ops.push_back(op(OpClass::IntAlu, 0, 1,
+                             static_cast<int32_t>(i % 5)));
     }
     return finish(std::move(ops));
 }
@@ -367,16 +369,18 @@ storeConflictTrace()
     std::vector<TraceOp> ops;
     for (size_t i = 0; i < 2400; ++i) {
         const uint64_t base = 0x40000 + 64 * (i / 8 % 16);
+        TraceOp o;
         switch (i % 8) {
-          case 0: ops.push_back(op(OpClass::Load, 0x800000 + 8192 * i)); break;
-          case 1: ops.push_back(op(OpClass::Store, base, 1)); break;
-          case 2: ops.push_back(op(OpClass::Load, base + 4)); break;   // same block
-          case 3: ops.push_back(op(OpClass::Load, base + 8)); break;   // next block
-          case 4: ops.push_back(op(OpClass::Store, base + 16, 0, 4)); break;
-          case 5: ops.push_back(op(OpClass::Load, base + 16, 1)); break;
-          case 6: ops.push_back(op(OpClass::Load, base + 20)); break;
-          default: ops.push_back(op(OpClass::IntAlu, 0, 2, 3)); break;
+          case 0: o = op(OpClass::Load, 0x800000 + 8192 * i); break;
+          case 1: o = op(OpClass::Store, base, 1); break;
+          case 2: o = op(OpClass::Load, base + 4); break;  // same block
+          case 3: o = op(OpClass::Load, base + 8); break;  // next block
+          case 4: o = op(OpClass::Store, base + 16, 0, 4); break;
+          case 5: o = op(OpClass::Load, base + 16, 1); break;
+          case 6: o = op(OpClass::Load, base + 20); break;
+          default: o = op(OpClass::IntAlu, 0, 2, 3); break;
         }
+        ops.push_back(o);
     }
     return finish(std::move(ops));
 }
@@ -404,14 +408,18 @@ dependenceTrace()
     std::vector<TraceOp> ops;
     for (size_t i = 0; i < 2000; ++i) {
         const auto d = static_cast<int32_t>(i % 9);
+        const auto at = static_cast<int32_t>(i);
+        TraceOp o;
         switch (i % 6) {
-          case 0: ops.push_back(op(OpClass::IntMul, 0, d, d)); break;
-          case 1: ops.push_back(op(OpClass::FpMul, 0, 3000, d)); break;
-          case 2: ops.push_back(op(OpClass::FpAlu, 0, -2, 1)); break;
-          case 3: ops.push_back(op(OpClass::Load, 0x9000 + 8 * (i % 64), 2, 2)); break;
-          case 4: ops.push_back(op(OpClass::Store, 0x9000 + 8 * (i % 32), 1, static_cast<int32_t>(i + 1))); break;
-          default: ops.push_back(op(OpClass::IntAlu, 0, static_cast<int32_t>(i), 4)); break;
+          case 0: o = op(OpClass::IntMul, 0, d, d); break;
+          case 1: o = op(OpClass::FpMul, 0, 3000, d); break;
+          case 2: o = op(OpClass::FpAlu, 0, -2, 1); break;
+          case 3: o = op(OpClass::Load, 0x9000 + 8 * (i % 64), 2, 2); break;
+          case 4: o = op(OpClass::Store, 0x9000 + 8 * (i % 32), 1, at + 1);
+                  break;
+          default: o = op(OpClass::IntAlu, 0, at, 4); break;
         }
+        ops.push_back(o);
     }
     return finish(std::move(ops));
 }

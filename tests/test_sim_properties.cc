@@ -3,12 +3,16 @@
  * Property tests of the simulator over *real study configurations*:
  * directional sensitivities the architecture must exhibit for the
  * studies to carry signal, checked per benchmark on the actual
- * Table 4.1/4.2 mappings.
+ * Table 4.1/4.2 mappings, and invariants every simulation must keep
+ * on random configurations and run shapes.
  */
 
 #include <gtest/gtest.h>
 
+#include "sim/core.hh"
 #include "study/harness.hh"
+#include "util/rng.hh"
+#include "workload/generator.hh"
 
 namespace dse {
 namespace study {
@@ -165,6 +169,81 @@ TEST(StudySignal, CraftyIndifferentToL2Size)
     const double large = ipcAt(ctx, mid, "L2SizeKB", 3);
     EXPECT_NEAR(large / small, 1.0, 0.15);
 }
+
+/** A random run shape: whole or partial, cold, prefix- or fully warmed. */
+sim::SimOptions
+randomRun(Rng &rng, size_t trace_size)
+{
+    sim::SimOptions opts;
+    if (rng.chance(0.5)) {
+        opts.begin = static_cast<size_t>(rng.below(trace_size));
+        opts.end = opts.begin + static_cast<size_t>(rng.below(trace_size));
+        opts.warmupInstructions = static_cast<size_t>(rng.below(4096));
+        opts.detailedWarmup = static_cast<size_t>(rng.below(2048));
+    }
+    opts.warmCaches = rng.chance(0.5);
+    return opts;
+}
+
+class SimInvariants : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SimInvariants, HoldOnRandomConfigsAndRanges)
+{
+    const auto trace = workload::generateBenchmarkTrace(GetParam(), 8192);
+    Rng rng(0x51u + trace.ops.front().pc);
+    for (auto kind : {StudyKind::MemorySystem, StudyKind::Processor}) {
+        const auto space = spaceFor(kind);
+        for (int i = 0; i < 12; ++i) {
+            const auto cfg = configFor(
+                kind, space, space.levels(rng.below(space.size())));
+            const auto opts = randomRun(rng, trace.size());
+            sim::SimResult r;
+            ASSERT_NO_THROW(r = sim::simulate(trace, cfg, opts))
+                << studyName(kind) << " run " << i;
+            const size_t end = std::min(opts.end, trace.size());
+            EXPECT_EQ(r.instructions, end - std::min(opts.begin, end));
+            EXPECT_LE(r.ipc, static_cast<double>(cfg.issueWidth));
+            EXPECT_LE(r.l1dMisses, r.l1dAccesses);
+            EXPECT_LE(r.l1iMisses, r.l1iAccesses);
+            EXPECT_LE(r.l2Misses, r.l2Accesses);
+            EXPECT_LE(r.branchMispredicts, r.branches);
+            if (r.instructions > 0) {
+                EXPECT_GT(r.cycles, 0u);
+                EXPECT_GT(r.ipc, 0.0);
+            }
+        }
+    }
+}
+
+TEST_P(SimInvariants, IntervalsMatchIndependentRuns)
+{
+    // simulateIntervals warms once and copies; every result must equal
+    // the run simulate() makes from scratch.
+    const auto trace = workload::generateBenchmarkTrace(GetParam(), 8192);
+    const auto space = spaceFor(StudyKind::Processor);
+    const auto cfg = configFor(StudyKind::Processor, space,
+                               space.levels(space.size() / 3));
+    Rng rng(0xa5u + trace.ops.back().pc);
+    std::vector<sim::SimOptions> runs;
+    for (int i = 0; i < 6; ++i)
+        runs.push_back(randomRun(rng, trace.size()));
+    const auto shared = sim::simulateIntervals(trace, cfg, runs);
+    ASSERT_EQ(shared.size(), runs.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const auto alone = sim::simulate(trace, cfg, runs[i]);
+        EXPECT_EQ(shared[i].cycles, alone.cycles) << i;
+        EXPECT_EQ(shared[i].ipc, alone.ipc) << i;
+        EXPECT_EQ(shared[i].l1dMisses, alone.l1dMisses) << i;
+        EXPECT_EQ(shared[i].l2Misses, alone.l2Misses) << i;
+        EXPECT_EQ(shared[i].l1iMisses, alone.l1iMisses) << i;
+        EXPECT_EQ(shared[i].branchMispredicts, alone.branchMispredicts)
+            << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, SimInvariants,
+                         ::testing::Values("gzip", "mcf", "mgrid",
+                                           "equake"));
 
 } // namespace
 } // namespace study
