@@ -22,6 +22,7 @@
 #include "util/env.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
+#include "util/thread_pool.hh"
 #include "util/trace.hh"
 
 namespace dse {
@@ -207,17 +208,10 @@ Server::start()
     getsockname(listenFd_, reinterpret_cast<sockaddr *>(&sin), &len);
     boundPort_ = ntohs(sin.sin_port);
 
-    workerCount_ = opts_.workers ? opts_.workers
-                                 : util::ThreadPool::configuredThreads();
-    workerPool_ = std::make_unique<util::ThreadPool>(workerCount_);
-    // The driver thread participates in its own parallelFor, so every
-    // one of workerCount_ indices becomes a live drain loop (each
-    // iteration blocks until shutdown, pinning its claim to one
-    // thread).
-    workerDriver_ = std::thread([this] {
-        workerPool_->parallelFor(0, workerCount_,
-                                 [this](size_t) { workerLoop(); });
-    });
+    const size_t workers = opts_.workers
+        ? opts_.workers : util::ThreadPool::configuredThreads();
+    for (size_t i = 0; i < workers; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
 
     running_.store(true, std::memory_order_release);
     ioThread_ = std::thread([this] { ioLoop(); });
@@ -250,9 +244,9 @@ Server::stop()
         workersExit_.store(true, std::memory_order_release);
     }
     queueCv_.notify_all();
-    if (workerDriver_.joinable())
-        workerDriver_.join();
-    workerPool_.reset();
+    for (auto &w : workers_)
+        w.join();
+    workers_.clear();
 
     // Phase 3: the I/O thread flushes the outboxes and exits (it
     // watches workersExit_ + empty queue + joined-worker state via
@@ -1029,11 +1023,10 @@ Server::handleLoadModel(const Request &req)
             state.ensemble = std::make_shared<const ml::Ensemble>(
                 ml::loadEnsemble(load.path));
         } else {
-            // Train on the spot. Worker threads sit inside the serve
-            // pool's parallel region, so the explorer's inner
-            // parallelism degrades to serial — keep wire-triggered
-            // budgets small; heavy training belongs in dse_serve's
-            // startup path or dse_explore --save-model.
+            // Train on the spot, fanning out on the global pool. This
+            // blocks one server worker for the whole run, so keep
+            // wire-triggered budgets small; heavy training belongs in
+            // dse_serve's startup path or dse_explore --save-model.
             const auto kind = static_cast<study::StudyKind>(load.study);
             study::StudyContext ctx(kind, load.app);
             ml::ExplorerOptions eopts;

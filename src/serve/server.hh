@@ -5,7 +5,7 @@
  * One poll-based I/O thread owns every socket: it accepts loopback
  * TCP connections, incrementally frames their byte streams
  * (protocol.hh), and pushes decoded requests onto a *bounded* queue.
- * A dse::util::ThreadPool of workers drains the queue; adjacent small
+ * A fixed set of worker threads drains the queue; adjacent small
  * PredictPoints requests of the same feature width are coalesced into
  * a single Ensemble::predictBatch call (micro-batching), so many
  * clients asking for one point each ride the blocked SIMD kernels
@@ -51,7 +51,6 @@
 #include "ml/cross_validation.hh"
 #include "ml/encoding.hh"
 #include "serve/protocol.hh"
-#include "util/thread_pool.hh"
 
 namespace dse {
 namespace serve {
@@ -99,7 +98,7 @@ enum class SimulateVerdict : uint8_t {
 };
 
 /** Handler a simulation worker installs for SimulateBatch requests.
- *  Runs on the server's worker pool; must be thread-safe. */
+ *  Runs on a server worker thread; must be thread-safe. */
 using SimulateHandler = std::function<SimulateVerdict(
     const SimulateBatchRequest &req, SimulateBatchReply &reply,
     std::string &error)>;
@@ -135,7 +134,7 @@ class Server
      *  Without one, SimulateBatch requests get BadRequest. */
     void setSimulateHandler(SimulateHandler handler);
 
-    /** Bind, listen, and spawn the I/O thread and worker pool.
+    /** Bind, listen, and spawn the I/O and worker threads.
      *  @throws std::runtime_error when the address cannot be bound */
     void start();
 
@@ -169,7 +168,7 @@ class Server
     StatsReply statsSnapshot() const;
 
     /**
-     * Test hook: freeze/unfreeze the worker pool. With workers held,
+     * Test hook: freeze/unfreeze the workers. With workers held,
      * requests pile into the bounded queue, which is how the test
      * suite forces the Overloaded path deterministically.
      */
@@ -253,9 +252,7 @@ class Server
     uint64_t nextConnId_ = 1;
 
     std::thread ioThread_;
-    std::unique_ptr<util::ThreadPool> workerPool_;
-    std::thread workerDriver_;  ///< runs workerPool_->parallelFor
-    size_t workerCount_ = 0;
+    std::vector<std::thread> workers_;  ///< each runs workerLoop()
 
     // Counters behind Stats (atomics; obs mirrors are separate).
     struct Counters

@@ -48,7 +48,7 @@ Cache::access(uint64_t addr, bool is_write, bool allocate)
     // Hit path.
     for (int w = 0; w < cfg_.assoc; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == block) {
+        if (line.valid() && line.tag == block) {
             line.lastUse = clock_;
             if (is_write && cfg_.writeBack)
                 line.dirty = true;
@@ -65,7 +65,7 @@ Cache::access(uint64_t addr, bool is_write, bool allocate)
     Line *victim = base;
     for (int w = 1; w < cfg_.assoc; ++w) {
         Line &line = base[w];
-        if (!line.valid) {
+        if (!line.valid()) {
             victim = &line;
             break;
         }
@@ -73,13 +73,12 @@ Cache::access(uint64_t addr, bool is_write, bool allocate)
             victim = &line;
     }
 
-    if (victim->valid && victim->dirty) {
+    if (victim->valid() && victim->dirty) {
         result.writeback = true;
         result.victimAddr = victim->tag << blockShift_;
         ++writebacks_;
     }
 
-    victim->valid = true;
     victim->tag = block;
     victim->lastUse = clock_;
     victim->dirty = is_write && cfg_.writeBack;
@@ -93,7 +92,7 @@ Cache::contains(uint64_t addr) const
     const size_t set = setIndex(block);
     const Line *base = &lines_[set * cfg_.assoc];
     for (int w = 0; w < cfg_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == block)
+        if (base[w].valid() && base[w].tag == block)
             return true;
     }
     return false;

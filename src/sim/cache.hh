@@ -75,13 +75,17 @@ class Cache
     /// @}
 
   private:
+    /** 16 bytes. A line is valid iff lastUse != 0: the clock is
+     *  pre-incremented, and reset() zeroes it and every line. */
     struct Line
     {
         uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
+        uint64_t lastUse : 63 = 0;
+        uint64_t dirty : 1 = 0;
+
+        bool valid() const { return lastUse != 0; }
     };
+    static_assert(sizeof(Line) == 16);
 
     uint64_t blockAddr(uint64_t addr) const { return addr >> blockShift_; }
     size_t setIndex(uint64_t block) const

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "util/env.hh"
 #include "util/metrics.hh"
@@ -12,13 +13,13 @@ namespace util {
 namespace {
 
 /**
- * True on any thread currently inside a parallel region (a pool
- * worker, or a caller participating in its own parallelFor). Nested
- * parallelFor calls from such threads run inline: the outer loop
- * already owns the hardware, and recursing into the pool could
- * deadlock on submitMu_.
+ * The pool whose loop this thread is running: its own pool on a
+ * worker, the submitted-to pool on a caller running its chunks. A
+ * parallelFor into that same pool runs inline — the outer loop already
+ * owns the workers. A call into any other pool (a server thread fanning
+ * out on the global pool, say) is an ordinary submission.
  */
-thread_local bool t_in_parallel_region = false;
+thread_local const ThreadPool *t_running = nullptr;
 
 } // namespace
 
@@ -53,22 +54,21 @@ ThreadPool::configuredThreads()
 }
 
 void
-ThreadPool::runChunks(const std::function<void(size_t)> &fn, size_t end,
-                      size_t chunk)
+ThreadPool::runChunks(Job &job)
 {
     for (;;) {
-        const size_t start = next_.fetch_add(chunk);
-        if (start >= end)
+        const size_t start = job.next.fetch_add(job.chunk);
+        if (start >= job.end)
             return;
-        const size_t stop = std::min(end, start + chunk);
+        const size_t stop = std::min(job.end, start + job.chunk);
         for (size_t i = start; i < stop; ++i) {
             try {
-                fn(i);
+                (*job.fn)(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(mu_);
-                if (!error_)
-                    error_ = std::current_exception();
-                next_.store(end);  // abandon remaining iterations
+                if (!job.error)
+                    job.error = std::current_exception();
+                job.next.store(job.end);  // abandon remaining iterations
                 return;
             }
         }
@@ -78,29 +78,31 @@ ThreadPool::runChunks(const std::function<void(size_t)> &fn, size_t end,
 void
 ThreadPool::workerLoop()
 {
-    t_in_parallel_region = true;
-    uint64_t seen = 0;
+    t_running = this;
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        const std::function<void(size_t)> *fn = nullptr;
-        size_t end = 0, chunk = 1;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            workCv_.wait(lock, [&] {
-                return stop_ || generation_ != seen;
-            });
-            if (stop_)
-                return;
-            seen = generation_;
-            fn = fn_;
-            end = end_;
-            chunk = chunk_;
-        }
-        runChunks(*fn, end, chunk);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --active_;
-        }
-        doneCv_.notify_all();
+        // The oldest job with unclaimed chunks. A listed job stays
+        // alive until its helpers drop to zero, so it is safe to run
+        // after unlocking. `next` only grows outside mu_, so a job
+        // becomes claimable only when listed under it: no lost wakeup.
+        Job *job = nullptr;
+        workCv_.wait(lock, [&] {
+            for (Job *j : jobs_) {
+                if (j->next.load(std::memory_order_relaxed) < j->end) {
+                    job = j;
+                    return true;
+                }
+            }
+            return stop_;
+        });
+        if (stop_)
+            return;
+        ++job->helpers;
+        lock.unlock();
+        runChunks(*job);
+        lock.lock();
+        if (--job->helpers == 0)
+            doneCv_.notify_all();
     }
 }
 
@@ -112,50 +114,42 @@ ThreadPool::parallelFor(size_t begin, size_t end,
         return;
     const size_t n = end - begin;
 
-    // Inline fallbacks: single-threaded pool, trivially small range,
-    // nested call, or another thread mid-submission. All produce the
-    // same results as the parallel path.
-    if (workers_.empty() || n == 1 || t_in_parallel_region ||
-        !submitMu_.try_lock()) {
+    // Inline: single-threaded pool, a single iteration, or a nested
+    // call from this pool's own loop. All give the same results as the
+    // parallel path.
+    if (workers_.empty() || n == 1 || t_running == this) {
         for (size_t i = begin; i < end; ++i)
             fn(i);
         return;
     }
-    std::lock_guard<std::mutex> submit(submitMu_, std::adopt_lock);
 
+    // ~4 chunks per thread: coarse enough to amortize the claim,
+    // fine enough for the atomic counter to balance uneven work.
+    Job job{&fn, {begin}, end,
+            std::max<size_t>(1, n / (4 * threadCount()))};
     {
         std::lock_guard<std::mutex> lock(mu_);
-        fn_ = &fn;
-        next_.store(begin);
-        end_ = end;
-        // ~4 chunks per thread: coarse enough to amortize the claim,
-        // fine enough for the atomic counter to balance uneven work.
-        chunk_ = std::max<size_t>(1, n / (4 * threadCount()));
-        error_ = nullptr;
-        active_ = workers_.size();
-        ++generation_;
+        jobs_.push_back(&job);
     }
     workCv_.notify_all();
 
-    t_in_parallel_region = true;
-    runChunks(fn, end, chunk_);
-    t_in_parallel_region = false;
+    const ThreadPool *outer = std::exchange(t_running, this);
+    runChunks(job);
+    t_running = outer;
 
+    // Every chunk is claimed: unlist the job so no new helper joins,
+    // then wait out the ones still running it.
     std::unique_lock<std::mutex> lock(mu_);
-    doneCv_.wait(lock, [&] { return active_ == 0; });
-    fn_ = nullptr;
-    if (error_)
-        std::rethrow_exception(error_);
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+    doneCv_.wait(lock, [&] { return job.helpers == 0; });
+    if (job.error)
+        std::rethrow_exception(job.error);
 }
 
 namespace {
 
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
-
-} // namespace
-
-namespace {
 
 /** Record the global pool's width as the `pool.threads` gauge. */
 void

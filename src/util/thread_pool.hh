@@ -11,13 +11,18 @@
  *     between iterations, so results are bit-identical at any thread
  *     count (including 1). The pool only schedules — it never
  *     reorders observable effects.
- *  2. **Simplicity over peak throughput.** Work is handed out as
- *     contiguous index chunks from a single atomic counter
+ *  2. **Simplicity over peak throughput.** Each call's range is handed
+ *     out as contiguous index chunks from one atomic counter
  *     ("work-stealing-lite"): idle workers grab the next chunk, so
  *     uneven iteration costs self-balance without per-worker deques.
- *  3. **Graceful degradation.** With one configured thread, a tiny
- *     range, or a nested/concurrent call, the loop runs inline on the
- *     calling thread — same results, no deadlock.
+ *  3. **Shared workers.** Concurrent calls from different threads (a
+ *     server's request handlers, say) each submit a job; workers serve
+ *     the oldest job with unclaimed chunks, and every caller runs its
+ *     own job's chunks too, so no call waits on an idle worker.
+ *  4. **Graceful degradation.** With one configured thread, a single
+ *     iteration, or a nested call from a thread already running this
+ *     pool's loop, the loop runs inline on the calling thread — same
+ *     results, no deadlock.
  *
  * The worker count comes from DSE_THREADS when set (>0), else
  * std::thread::hardware_concurrency(). The calling thread always
@@ -30,7 +35,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -60,8 +64,9 @@ class ThreadPool
      * Run fn(i) for every i in [begin, end). Blocks until all
      * iterations complete; rethrows the first exception any iteration
      * threw. Iterations must not share mutable state except through
-     * their own synchronization. Nested or concurrent calls fall back
-     * to inline serial execution.
+     * their own synchronization. Safe to call from several threads at
+     * once; a nested call from inside one of this pool's iterations
+     * runs inline.
      */
     void parallelFor(size_t begin, size_t end,
                      const std::function<void(size_t)> &fn);
@@ -90,25 +95,26 @@ class ThreadPool
     static void resetGlobal(size_t threads = 0);
 
   private:
+    /** One parallelFor call; lives on its caller's stack, on cache
+     *  lines of its own so claims do not contend with the caller. */
+    struct alignas(64) Job
+    {
+        const std::function<void(size_t)> *fn;
+        std::atomic<size_t> next;  ///< first unclaimed index
+        size_t end;
+        size_t chunk;
+        size_t helpers = 0;        ///< workers running it (under mu_)
+        std::exception_ptr error{};  ///< first exception (under mu_)
+    };
+
     void workerLoop();
-    void runChunks(const std::function<void(size_t)> &fn, size_t end,
-                   size_t chunk);
+    void runChunks(Job &job);
 
     std::mutex mu_;
     std::condition_variable workCv_;
     std::condition_variable doneCv_;
-    /** Serializes submissions; concurrent callers run inline. */
-    std::mutex submitMu_;
-
-    // Current job, written under mu_ before workers are woken.
-    const std::function<void(size_t)> *fn_ = nullptr;
-    std::atomic<size_t> next_{0};
-    size_t end_ = 0;
-    size_t chunk_ = 1;
-    uint64_t generation_ = 0;
-    size_t active_ = 0;
+    std::vector<Job *> jobs_;  ///< submission order (under mu_)
     bool stop_ = false;
-    std::exception_ptr error_;
 
     std::vector<std::thread> workers_;
 };

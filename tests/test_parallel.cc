@@ -9,12 +9,16 @@
  * execution at any thread count. Each case below computes the same
  * quantity with the global pool set to 1, 2, and 8 threads and
  * compares exactly (no tolerances), plus a stress test hammering the
- * sharded memoization cache from concurrent batches.
+ * sharded memoization cache from concurrent batches. The ThreadPoolTest
+ * cases pin the pool's own contract: concurrent callers share its
+ * workers, and only its own nested calls run inline.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
@@ -109,6 +113,115 @@ TEST(ThreadPoolTest, NestedCallsRunInline)
     });
     for (int h : hits)
         ASSERT_EQ(h, 1);
+}
+
+/** A loop body slow enough that concurrent jobs overlap even when the
+ *  pool's threads are time-sliced onto one CPU. */
+void
+slowIteration()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+}
+
+size_t
+distinctThreads(const std::vector<std::thread::id> &ids)
+{
+    return std::set<std::thread::id>(ids.begin(), ids.end()).size();
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersShareTheWorkers)
+{
+    ThreadPool pool(4);
+    constexpr size_t kN = 60;
+    std::vector<int> hitsA(kN, 0), hitsB(kN, 0);
+    std::vector<std::thread::id> ranB(kN);
+    std::atomic<bool> aStarted{false};
+
+    std::thread first([&] {
+        pool.parallelFor(0, kN, [&](size_t i) {
+            aStarted.store(true);
+            slowIteration();
+            hitsA[i] += 1;
+        });
+    });
+    while (!aStarted.load())
+        std::this_thread::yield();
+    // Submitted while the first job is in flight: it must not run
+    // serially on this thread alone.
+    pool.parallelFor(0, kN, [&](size_t i) {
+        slowIteration();
+        hitsB[i] += 1;
+        ranB[i] = std::this_thread::get_id();
+    });
+    first.join();
+
+    for (size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(hitsA[i], 1) << i;
+        ASSERT_EQ(hitsB[i], 1) << i;
+    }
+    EXPECT_GE(distinctThreads(ranB), 2u);
+}
+
+TEST(ThreadPoolTest, CallFromAnotherPoolsWorkerUsesTheGlobalPool)
+{
+    // The serve shape: a thread of one pool (a server worker) fans out
+    // on the global pool. Only this pool's own nesting runs inline.
+    PoolGuard guard(4);
+    constexpr size_t kN = 32;
+    ThreadPool outer(2);
+    std::vector<std::vector<std::thread::id>> ran(
+        2, std::vector<std::thread::id>(kN));
+    std::vector<std::thread::id> callers(2);
+    outer.parallelFor(0, 2, [&](size_t o) {
+        callers[o] = std::this_thread::get_id();
+        ThreadPool::global().parallelFor(0, kN, [&](size_t i) {
+            slowIteration();
+            ran[o][i] = std::this_thread::get_id();
+        });
+    });
+    for (size_t o = 0; o < 2; ++o) {
+        const size_t helped = std::count_if(
+            ran[o].begin(), ran[o].end(),
+            [&](std::thread::id id) { return id != callers[o]; });
+        EXPECT_GT(helped, 0u) << "outer iteration " << o;
+    }
+}
+
+TEST(ThreadPoolTest, ExceptionReachesOnlyItsOwnSubmitter)
+{
+    ThreadPool pool(4);
+    constexpr size_t kN = 60;
+    std::atomic<size_t> completed{0};
+    bool failedThrew = false;
+    bool healthyThrew = false;
+
+    std::thread failing([&] {
+        try {
+            pool.parallelFor(0, kN, [&](size_t i) {
+                slowIteration();
+                if (i == 10)
+                    throw std::runtime_error("boom");
+            });
+        } catch (const std::runtime_error &) {
+            failedThrew = true;
+        }
+    });
+    std::thread healthy([&] {
+        try {
+            pool.parallelFor(0, kN, [&](size_t) {
+                slowIteration();
+                completed.fetch_add(1);
+            });
+        } catch (...) {
+            healthyThrew = true;
+        }
+    });
+    failing.join();
+    healthy.join();
+
+    EXPECT_TRUE(failedThrew);
+    EXPECT_FALSE(healthyThrew);
+    EXPECT_EQ(completed.load(), kN);
 }
 
 TEST(ThreadPoolTest, ConfiguredThreadsReadsEnv)
