@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <functional>
 #include <optional>
@@ -11,6 +12,7 @@
 
 #include "sim/branch.hh"
 #include "sim/memsys.hh"
+#include "util/thread_pool.hh"
 
 namespace dse {
 namespace sim {
@@ -190,9 +192,11 @@ prepare(const Trace &trace, const MachineConfig &cfg,
 class Pipeline
 {
   public:
-    Pipeline(const Trace &trace, const MachineConfig &cfg, Structures s)
-        : trace_(trace), cfg_(cfg), mem_(std::move(s.mem)),
-          predictor_(std::move(s.predictor)), btb_(std::move(s.btb))
+    /** Runs on `s` in place: the caches, predictor and BTB it leaves
+     *  behind are the ones the simulated range ended with. */
+    Pipeline(const Trace &trace, const MachineConfig &cfg, Structures &s)
+        : trace_(trace), cfg_(cfg), mem_(s.mem), predictor_(s.predictor),
+          btb_(s.btb)
     {
         if (static_cast<size_t>(cfg.robSize) >= kRobRing)
             throw std::invalid_argument("ROB too large for ROB ring");
@@ -594,9 +598,9 @@ class Pipeline
 
     const Trace &trace_;
     const MachineConfig &cfg_;
-    MemorySystem mem_;
-    TournamentPredictor predictor_;
-    BranchTargetBuffer btb_;
+    MemorySystem &mem_;
+    TournamentPredictor &predictor_;
+    BranchTargetBuffer &btb_;
 
     std::vector<RobEntry> rob_;
     size_t robCount_ = 0;
@@ -634,25 +638,60 @@ SimResult
 simulate(const Trace &trace, const MachineConfig &cfg,
          const SimOptions &opts)
 {
-    return Pipeline(trace, cfg, prepare(trace, cfg, opts)).run(opts);
+    Structures s = prepare(trace, cfg, opts);
+    return Pipeline(trace, cfg, s).run(opts);
 }
 
 std::vector<SimResult>
 simulateIntervals(const Trace &trace, const MachineConfig &cfg,
                   const std::vector<SimOptions> &runs)
 {
-    std::vector<SimResult> out;
-    out.reserve(runs.size());
-    std::optional<Structures> warm;
-    for (const auto &opts : runs) {
-        if (!opts.warmCaches) {
-            out.push_back(simulate(trace, cfg, opts));
-            continue;
+    std::vector<size_t> warm, cold;
+    for (size_t i = 0; i < runs.size(); ++i)
+        (runs[i].warmCaches ? warm : cold).push_back(i);
+
+    util::ThreadPool &pool = util::ThreadPool::global();
+    const size_t slots = std::min(runs.size(), pool.concurrency());
+
+    // Warmed runs share one functional replay. Each slot that runs
+    // them gets its own copy, made here on the calling thread. When
+    // every warmed run has a slot of its own, the original is one of
+    // the copies; otherwise it stays pristine, and a slot resets its
+    // state from it (an allocation-free copy-assignment) between runs.
+    std::optional<Structures> pristine;
+    std::vector<Structures> states;
+    if (!warm.empty()) {
+        pristine.emplace(prepare(trace, cfg, runs[warm.front()]));
+        const size_t n = std::min(warm.size(), slots);
+        states.reserve(n);
+        for (size_t s = 1; s < n; ++s)
+            states.push_back(*pristine);
+        if (n == warm.size()) {
+            states.push_back(std::move(*pristine));
+            pristine.reset();
+        } else {
+            states.push_back(*pristine);
         }
-        if (!warm)
-            warm = prepare(trace, cfg, opts);
-        out.push_back(Pipeline(trace, cfg, *warm).run(opts));
     }
+
+    std::vector<SimResult> out(runs.size());
+    std::atomic<size_t> next_warm{0}, next_cold{0};
+    pool.parallelFor(0, slots, [&](size_t slot) {
+        if (slot < states.size()) {
+            Structures &state = states[slot];
+            size_t w = next_warm.fetch_add(1);
+            while (w < warm.size()) {
+                out[warm[w]] = Pipeline(trace, cfg, state).run(runs[warm[w]]);
+                // Without a pristine state every warmed run has a slot
+                // of its own, so this slot's one run was its last.
+                if (!pristine || (w = next_warm.fetch_add(1)) >= warm.size())
+                    break;
+                state = *pristine;
+            }
+        }
+        for (size_t c; (c = next_cold.fetch_add(1)) < cold.size();)
+            out[cold[c]] = simulate(trace, cfg, runs[cold[c]]);
+    });
     return out;
 }
 

@@ -73,8 +73,17 @@ SimResult simulate(const workload::Trace &trace, const MachineConfig &cfg,
 /**
  * Simulate several ranges of one trace on one configuration, as
  * SimPoint and SMARTS estimates do. Runs with warmCaches set replay
- * the trace functionally once and each starts from a copy of that
- * state, so every result equals simulate(trace, cfg, runs[i]).
+ * the trace functionally once and each starts from an exact copy of
+ * that state, so every result equals simulate(trace, cfg, runs[i]).
+ *
+ * The runs execute concurrently on util::ThreadPool::global(), on
+ * S = min(runs, pool.concurrency()) slots. Each slot that runs warmed
+ * intervals owns one warmed state, copied on the calling thread before
+ * the fan-out: k warmed runs on k or more slots keep k states alive
+ * (the original is one of them); otherwise S copies sit beside the
+ * pristine original, which resets a slot's state between its runs.
+ * A call from inside one of the global pool's iterations (a batch of
+ * estimates, say) sees S = 1 and runs inline, holding two states.
  *
  * @return one result per run, in order
  */

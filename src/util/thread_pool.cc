@@ -53,6 +53,12 @@ ThreadPool::configuredThreads()
     return hw > 0 ? hw : 1;
 }
 
+size_t
+ThreadPool::concurrency() const
+{
+    return t_running == this ? 1 : threadCount();
+}
+
 void
 ThreadPool::runChunks(Job &job)
 {

@@ -61,6 +61,14 @@ class ThreadPool
     size_t threadCount() const { return workers_.size() + 1; }
 
     /**
+     * Threads a parallelFor issued from the calling thread would run
+     * on: 1 when it would run inline (a pool without workers, or a
+     * thread already running this pool's loop), else threadCount().
+     * Lets a caller size per-thread state before fanning out.
+     */
+    size_t concurrency() const;
+
+    /**
      * Run fn(i) for every i in [begin, end). Blocks until all
      * iterations complete; rethrows the first exception any iteration
      * threw. Iterations must not share mutable state except through

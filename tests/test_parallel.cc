@@ -23,10 +23,14 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "ml/ann.hh"
 #include "ml/explorer.hh"
+#include "sim/core.hh"
+#include "simpoint/simpoint.hh"
+#include "simpoint/smarts.hh"
 #include "study/harness.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -222,6 +226,32 @@ TEST(ThreadPoolTest, ExceptionReachesOnlyItsOwnSubmitter)
     EXPECT_TRUE(failedThrew);
     EXPECT_FALSE(healthyThrew);
     EXPECT_EQ(completed.load(), kN);
+}
+
+TEST(ThreadPoolTest, ConcurrencyIsOneOnlyInsideThePoolsOwnLoop)
+{
+    ThreadPool pool(4);
+    ThreadPool other(2);
+    EXPECT_EQ(pool.concurrency(), pool.threadCount());
+    EXPECT_EQ(ThreadPool(1).concurrency(), 1u);
+
+    std::vector<size_t> own(8), foreign(8), fromOther(2);
+    pool.parallelFor(0, own.size(), [&](size_t i) {
+        own[i] = pool.concurrency();
+        foreign[i] = other.concurrency();
+    });
+    other.parallelFor(0, fromOther.size(),
+                      [&](size_t i) { fromOther[i] = pool.concurrency(); });
+    size_t fromThread = 0;
+    std::thread([&] { fromThread = pool.concurrency(); }).join();
+
+    for (size_t i = 0; i < own.size(); ++i) {
+        EXPECT_EQ(own[i], 1u) << i;
+        EXPECT_EQ(foreign[i], other.threadCount()) << i;
+    }
+    for (size_t c : fromOther)
+        EXPECT_EQ(c, pool.threadCount());
+    EXPECT_EQ(fromThread, pool.threadCount());
 }
 
 TEST(ThreadPoolTest, ConfiguredThreadsReadsEnv)
@@ -464,6 +494,159 @@ TEST(ParallelDeterminism, SimPointBatchBitIdenticalAcrossThreadCounts)
     for (size_t t = 1; t < results.size(); ++t)
         EXPECT_EQ(results[t], results[0])
             << "threads=" << kThreadCounts[t];
+}
+
+/** Every SimResult field, so EXPECT_EQ compares runs exactly. */
+auto
+fields(const sim::SimResult &r)
+{
+    return std::make_tuple(r.cycles, r.instructions, r.ipc, r.l1dMissRate,
+                           r.l2MissRate, r.l1iMissRate,
+                           r.branchMispredictRate, r.l1dAccesses,
+                           r.l1dMisses, r.l2Accesses, r.l2Misses,
+                           r.l1iAccesses, r.l1iMisses, r.branches,
+                           r.branchMispredicts);
+}
+
+using Fields = decltype(fields(sim::SimResult{}));
+
+/** What simulateIntervals, estimateIpc and smartsEstimateIpc return
+ *  for one configuration. */
+struct IntervalOutcome
+{
+    std::vector<std::vector<Fields>> runSets;
+    double simpointIpc = 0.0;
+    double smartsIpc = 0.0;
+};
+
+/**
+ * One mcf memory-study configuration on a 65,536-instruction trace,
+ * where SimPoint picks a few intervals. The first run set is default
+ * SMARTS (16 units) plus one cold run, more runs than any pool size
+ * here; the second has fewer warmed runs than 8 slots.
+ */
+class IntervalCase
+{
+  public:
+    IntervalCase()
+        : ctx_(study::StudyKind::MemorySystem, "mcf", 65536),
+          cfg_(ctx_.config(ctx_.space().size() / 3)),
+          points_(ctx_.simPoints())
+    {
+        const simpoint::SmartsOptions smarts;
+        std::vector<sim::SimOptions> units;
+        for (size_t u = 0; u < ctx_.trace().size() / smarts.unitInstructions;
+             u += smarts.cadence) {
+            sim::SimOptions opts;
+            opts.begin = u * smarts.unitInstructions;
+            opts.end = opts.begin + smarts.unitInstructions;
+            opts.warmCaches = true;
+            units.push_back(opts);
+        }
+        sim::SimOptions cold;
+        cold.begin = 20000;
+        cold.end = 24096;
+        cold.warmupInstructions = 4096;
+
+        runSets_.push_back(units);
+        runSets_.back().push_back(cold);
+        runSets_.push_back({units[3], cold, units[9]});
+    }
+
+    /** What every pool size must reproduce: each run simulated on its
+     *  own, and the estimates on a one-thread pool. */
+    IntervalOutcome
+    reference() const
+    {
+        IntervalOutcome out;
+        {
+            PoolGuard guard(1);
+            out = run();
+        }
+        for (size_t s = 0; s < runSets_.size(); ++s) {
+            for (size_t i = 0; i < runSets_[s].size(); ++i)
+                out.runSets[s][i] = fields(
+                    sim::simulate(ctx_.trace(), cfg_, runSets_[s][i]));
+        }
+        return out;
+    }
+
+    /** Const, so several threads may run it at once. */
+    IntervalOutcome
+    run() const
+    {
+        IntervalOutcome out;
+        for (const auto &runs : runSets_) {
+            out.runSets.emplace_back();
+            for (const auto &r :
+                 sim::simulateIntervals(ctx_.trace(), cfg_, runs))
+                out.runSets.back().push_back(fields(r));
+        }
+        out.simpointIpc =
+            simpoint::estimateIpc(ctx_.trace(), cfg_, points_).ipc;
+        out.smartsIpc =
+            simpoint::smartsEstimateIpc(ctx_.trace(), cfg_).ipc;
+        return out;
+    }
+
+  private:
+    study::StudyContext ctx_;
+    sim::MachineConfig cfg_;
+    simpoint::SimPoints points_;
+    std::vector<std::vector<sim::SimOptions>> runSets_;
+};
+
+void
+expectSameOutcome(const IntervalOutcome &got, const IntervalOutcome &want,
+                  const std::string &what)
+{
+    ASSERT_EQ(got.runSets.size(), want.runSets.size()) << what;
+    for (size_t s = 0; s < want.runSets.size(); ++s) {
+        ASSERT_EQ(got.runSets[s].size(), want.runSets[s].size()) << what;
+        for (size_t i = 0; i < want.runSets[s].size(); ++i)
+            EXPECT_EQ(got.runSets[s][i], want.runSets[s][i])
+                << what << ": run set " << s << " run " << i;
+    }
+    EXPECT_EQ(got.simpointIpc, want.simpointIpc) << what;
+    EXPECT_EQ(got.smartsIpc, want.smartsIpc) << what;
+}
+
+TEST(ParallelDeterminism, IntervalEstimatesBitIdenticalAcrossThreadCounts)
+{
+    // simulateIntervals fans its runs out over the pool from copies of
+    // one warmed state: every run must equal simulate() from scratch,
+    // and every estimate the one-thread estimate.
+    const IntervalCase c;
+    const IntervalOutcome want = c.reference();
+    for (size_t threads : kThreadCounts) {
+        PoolGuard guard(threads);
+        expectSameOutcome(c.run(), want,
+                          "threads=" + std::to_string(threads));
+    }
+}
+
+TEST(ParallelDeterminism, NestedIntervalEstimatesMatchTopLevel)
+{
+    // A batch of estimates fans out over the pool, so each estimate
+    // runs inside a pool iteration: it sees concurrency 1 and runs its
+    // intervals inline, with the same results.
+    const IntervalCase c;
+    const IntervalOutcome want = c.reference();
+    for (size_t threads : kThreadCounts) {
+        PoolGuard guard(threads);
+        std::vector<IntervalOutcome> got(4);
+        std::vector<size_t> seen(got.size());
+        ThreadPool::global().parallelFor(0, got.size(), [&](size_t i) {
+            seen[i] = ThreadPool::global().concurrency();
+            got[i] = c.run();
+        });
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(seen[i], 1u) << "threads=" << threads;
+            expectSameOutcome(got[i], want,
+                              "threads=" + std::to_string(threads) +
+                                  " caller " + std::to_string(i));
+        }
+    }
 }
 
 TEST(ParallelStress, ConcurrentOverlappingBatchesShareTheCache)

@@ -260,6 +260,15 @@ run(int argc, char **argv)
             eopts.prefetch = [&](const std::vector<uint64_t> &batch) {
                 dispatcher->prefetch(batch);
             };
+        } else {
+            // Simulate each round's batch on the thread pool; the
+            // per-index calls below then hit the memo cache.
+            eopts.prefetch = [&](const std::vector<uint64_t> &batch) {
+                if (opts.simpoint)
+                    ctx.simulateSimPointBatch(batch);
+                else
+                    ctx.simulateBatch(batch);
+            };
         }
 
         auto simulate = [&](uint64_t i) {
