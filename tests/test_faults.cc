@@ -24,6 +24,7 @@
 
 #include <unistd.h>
 
+#include "fnv.hh"
 #include "ml/cross_validation.hh"
 #include "ml/io.hh"
 #include "study/harness.hh"
@@ -488,6 +489,34 @@ TEST_F(FaultsTraining, FaultsOnOtherSitesLeaveTrainingBitIdentical)
     const auto probed = ml::trainEnsemble(data, opts);
     for (size_t m = 0; m < base.members(); ++m)
         EXPECT_EQ(base.memberWeights(m), probed.memberWeights(m));
+}
+
+TEST_F(FaultsTraining, RetriedFoldDigestIsPinned)
+{
+    // Keys are fold*64 + attempt: this spec fails fold 0's first
+    // attempt only, so fold 0 retrains from its reseeded stream and
+    // the ensemble stays whole.
+    const std::string spec = "fold:0.2:7";
+    util::FaultInjector probe;
+    probe.configure(spec);
+    ASSERT_TRUE(probe.shouldFail("fold", 0));
+    ASSERT_FALSE(probe.shouldFail("fold", 1));
+
+    util::FaultInjector::global().configure(spec);
+    const auto model = ml::trainEnsemble(smallDataSet(), fastTrainOptions());
+    EXPECT_FALSE(model.degraded());
+    EXPECT_EQ(testfnv::ensembleDigest(model), "0x84780be5b01ea36e");
+}
+
+TEST_F(FaultsTraining, DroppedFoldDigestIsPinned)
+{
+    // This spec exhausts all four attempts of fold 2 and forces
+    // retries on folds 1 and 3: three survivors, a widened estimate.
+    util::FaultInjector::global().configure("fold:0.6:1");
+    const auto model = ml::trainEnsemble(smallDataSet(), fastTrainOptions());
+    ASSERT_EQ(model.warnings().size(), 1u);
+    EXPECT_EQ(model.warnings()[0].fold, 2);
+    EXPECT_EQ(testfnv::ensembleDigest(model), "0x011a8c4ce2fc5806");
 }
 
 // ---------------------------------------------------------------------

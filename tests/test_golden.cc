@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fnv.hh"
 #include "ml/cross_validation.hh"
 #include "ml/explorer.hh"
 #include "study/harness.hh"
@@ -65,6 +66,70 @@ TEST(Golden, SmallEnsembleEstimate)
     const auto model = ml::trainEnsemble(data, opts);
     EXPECT_NEAR(model.estimate().meanPct, 25.809202971370066, 1e-6);
     EXPECT_NEAR(model.estimate().sdPct, 22.809921024581772, 1e-6);
+}
+
+/** The fixed synthetic set the training digests are pinned on. */
+ml::DataSet
+trainPinData()
+{
+    Rng rng(2024);
+    ml::DataSet data;
+    for (int i = 0; i < 60; ++i) {
+        const double a = rng.uniform(), b = rng.uniform(),
+                     c = rng.uniform();
+        data.add({a, b, c}, 0.3 + 0.6 * a * b + 0.4 * c - 0.2 * a * c);
+    }
+    return data;
+}
+
+ml::TrainOptions
+trainPinOptions()
+{
+    ml::TrainOptions opts;
+    opts.folds = 5;
+    opts.maxEpochs = 400;
+    opts.esInterval = 10;
+    opts.patience = 6;
+    opts.ann.decayEpochs = 200;
+    return opts;
+}
+
+// FNV-1a digests of every member weight and of the estimate, one per
+// training-option shape: any change to fold rotation, presentation,
+// early stopping or the per-fold RNG streams moves one of them.
+
+TEST(Golden, TrainDigestDefaultOptions)
+{
+    EXPECT_EQ(testfnv::ensembleDigest(
+                  ml::trainEnsemble(trainPinData(), trainPinOptions())),
+              "0x50eb2dcf116688b4");
+}
+
+TEST(Golden, TrainDigestUniformPresentation)
+{
+    auto opts = trainPinOptions();
+    opts.weightedPresentation = false;
+    EXPECT_EQ(testfnv::ensembleDigest(
+                  ml::trainEnsemble(trainPinData(), opts)),
+              "0x8b45e54973321344");
+}
+
+TEST(Golden, TrainDigestSquaredErrorEarlyStop)
+{
+    auto opts = trainPinOptions();
+    opts.percentageEarlyStop = false;
+    EXPECT_EQ(testfnv::ensembleDigest(
+                  ml::trainEnsemble(trainPinData(), opts)),
+              "0x0f658e519146c3ec");
+}
+
+TEST(Golden, TrainDigestNoEarlyStopping)
+{
+    auto opts = trainPinOptions();
+    opts.earlyStopping = false;
+    EXPECT_EQ(testfnv::ensembleDigest(
+                  ml::trainEnsemble(trainPinData(), opts)),
+              "0xc4ac561b479eeedc");
 }
 
 TEST(Golden, ActiveLearningPickBatchSelection)

@@ -16,12 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "fnv.hh"
 #include "sim/cacti.hh"
 #include "sim/core.hh"
 #include "simpoint/simpoint.hh"
@@ -39,26 +38,11 @@ using workload::OpClass;
 using workload::Trace;
 using workload::TraceOp;
 
-/** Streaming FNV-1a 64. */
-class Fnv
+/** FNV-1a over every SimResult field. */
+class Fnv : public testfnv::Fnv
 {
   public:
-    void
-    add(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xffu;
-            h_ *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    add(double d)
-    {
-        uint64_t bits;
-        std::memcpy(&bits, &d, sizeof bits);
-        add(bits);
-    }
+    using testfnv::Fnv::add;
 
     void
     add(const SimResult &r)
@@ -79,21 +63,9 @@ class Fnv
         add(r.branches);
         add(r.branchMispredicts);
     }
-
-    uint64_t value() const { return h_; }
-
-  private:
-    uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-std::string
-hex(uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
+using testfnv::hex;
 
 constexpr size_t kTraceLength = 8192;
 constexpr int kConfigsPerStudy = 24;
