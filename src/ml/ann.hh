@@ -204,7 +204,7 @@ class Ann
      * inputs, or weights that have already blown up) latches the
      * diverged() flag; the trainer uses it to abandon the attempt
      * and retry from a reseeded initialization rather than let NaNs
-     * propagate into the ensemble (see trainEnsemble).
+     * propagate into the ensemble (see trainFolds).
      *
      * @return the example's squared error before the update
      */
@@ -226,7 +226,7 @@ class Ann
      * bit-for-bit identical to the equivalent sequence of train()
      * calls. What the epoch form buys is the loop itself: no per-row
      * std::vector indirection or asserts, examples streamed from two
-     * flat buffers (see trainEnsemble, which packs each fold once).
+     * flat buffers (see trainFolds, which packs each fold once).
      *
      * @return the sum of per-example squared errors (pre-update),
      *         accumulated in presentation order

@@ -47,16 +47,17 @@ struct TrainMetrics
 
 /**
  * Cumulative presentation weights for one fold's training rows
- * (inverse-target weighting, Section 3.3), enabling O(log n) draws.
+ * (inverse-target weighting on the primary target, Section 3.3),
+ * enabling O(log n) draws.
  */
 std::vector<double>
-presentationCdf(const DataSet &data, const std::vector<size_t> &rows,
-                bool weighted)
+presentationCdf(const std::vector<double> &y,
+                const std::vector<size_t> &rows, bool weighted)
 {
     std::vector<double> cdf(rows.size());
     double acc = 0.0;
     for (size_t i = 0; i < rows.size(); ++i) {
-        const double t = std::abs(data.y[rows[i]]);
+        const double t = std::abs(y[rows[i]]);
         acc += weighted ? 1.0 / std::max(t, 1e-6) : 1.0;
         cdf[i] = acc;
     }
@@ -72,9 +73,13 @@ drawRow(const std::vector<double> &cdf, Rng &rng)
         it - cdf.begin(), static_cast<ptrdiff_t>(cdf.size()) - 1));
 }
 
-/** Mean model error on a set of rows, as defined by the options. */
+/**
+ * Mean model error on a set of rows, as defined by the options, of
+ * the primary output (output 0, decoded by @p scaler) against @p y.
+ */
 double
-evalError(const Ann &net, const DataSet &data, const TargetScaler &scaler,
+evalError(const Ann &net, const std::vector<std::vector<double>> &x,
+          const std::vector<double> &y, const TargetScaler &scaler,
           const std::vector<size_t> &rows, bool percentage)
 {
     if (rows.empty())
@@ -92,16 +97,16 @@ evalError(const Ann &net, const DataSet &data, const TargetScaler &scaler,
     if (ybuf.size() < n * outs)
         ybuf.resize(n * outs);
     for (size_t r = 0; r < n; ++r)
-        std::copy(data.x[rows[r]].begin(), data.x[rows[r]].end(),
+        std::copy(x[rows[r]].begin(), x[rows[r]].end(),
                   xbuf.begin() + static_cast<ptrdiff_t>(r * in));
     net.predictBatch(xbuf.data(), n, ybuf.data());
     double sum = 0.0;
     for (size_t r = 0; r < n; ++r) {
         const double pred = scaler.decode(ybuf[r * outs]);
         if (percentage) {
-            sum += percentageError(pred, data.y[rows[r]]);
+            sum += percentageError(pred, y[rows[r]]);
         } else {
-            const double d = pred - data.y[rows[r]];
+            const double d = pred - y[rows[r]];
             sum += d * d;
         }
     }
@@ -349,22 +354,42 @@ Ensemble::memberSpreadIndices(const DesignSpace &space,
     return out;
 }
 
-Ensemble
-trainEnsemble(const DataSet &data, const TrainOptions &opts)
+FoldTraining
+trainFolds(const std::vector<std::vector<double>> &x,
+           const std::vector<std::vector<double>> &targets,
+           const TrainOptions &opts)
 {
-    if (data.size() < static_cast<size_t>(opts.folds) ||
-        opts.folds < 2) {
+    if (x.size() < static_cast<size_t>(opts.folds) || opts.folds < 2) {
         throw std::invalid_argument(
             "need at least `folds` >= 2 training points");
     }
+    if (targets.empty())
+        throw std::invalid_argument("need at least one target column");
+    // Rows are packed into buffers sized from the first one, so a
+    // ragged row would overrun them or leave stale values behind.
+    const size_t in_w = x.front().size();
+    for (const auto &row : x) {
+        if (row.size() != in_w)
+            throw std::invalid_argument("feature rows differ in width");
+    }
+    for (const auto &column : targets) {
+        if (column.size() != x.size())
+            throw std::invalid_argument("target column and rows differ");
+    }
+    // Column 0 is the primary target: it alone drives presentation
+    // weights, early stopping and the pooled error estimate.
+    const std::vector<double> &y = targets.front();
 
     Rng rng(opts.seed);
 
-    TargetScaler scaler;
-    scaler.fit(data.y);
+    const size_t outs = targets.size();
+    std::vector<TargetScaler> scalers(outs);
+    for (size_t c = 0; c < outs; ++c)
+        scalers[c].fit(targets[c]);
+    const TargetScaler &scaler = scalers.front();
 
     // Shuffle row indices, then deal them into k folds.
-    std::vector<size_t> order(data.size());
+    std::vector<size_t> order(x.size());
     std::iota(order.begin(), order.end(), 0);
     rng.shuffle(order);
     const int k = opts.folds;
@@ -381,7 +406,6 @@ trainEnsemble(const DataSet &data, const TrainOptions &opts)
     for (auto &s : fold_seeds)
         s = seeder.next();
 
-    const int inputs = static_cast<int>(data.x.front().size());
     std::vector<std::optional<Ann>> slots(static_cast<size_t>(k));
     std::vector<std::vector<double>> fold_pct_errors(
         static_cast<size_t>(k));
@@ -411,24 +435,26 @@ trainEnsemble(const DataSet &data, const TrainOptions &opts)
             folds[static_cast<size_t>(es_fold)];
 
         Rng fold_rng(seed);
-        Ann net(inputs, 1, opts.ann, fold_rng);
-        const auto cdf = presentationCdf(data, train_rows,
-                                         opts.weightedPresentation);
+        Ann net(static_cast<int>(in_w), static_cast<int>(outs), opts.ann,
+                fold_rng);
+        const auto cdf =
+            presentationCdf(y, train_rows, opts.weightedPresentation);
 
         // Pack the fold's training rows once: epochs sweep two flat
-        // row-major buffers instead of chasing data.x[row] vectors,
-        // and targets are encoded here rather than on every
-        // presentation of every epoch (encode() is a pure function of
-        // the fitted scaler, so hoisting it is bit-invisible).
+        // row-major buffers ([rows x inputs] and [rows x outputs])
+        // instead of chasing x[row] vectors, and targets are encoded
+        // here rather than on every presentation of every epoch
+        // (encode() is a pure function of the fitted scaler, so
+        // hoisting it is bit-invisible).
         const size_t n_rows = train_rows.size();
-        const size_t in_w = static_cast<size_t>(inputs);
         std::vector<double> fold_x(n_rows * in_w);
-        std::vector<double> fold_t(n_rows);
+        std::vector<double> fold_t(n_rows * outs);
         for (size_t r = 0; r < n_rows; ++r) {
             const size_t row = train_rows[r];
-            std::copy(data.x[row].begin(), data.x[row].end(),
+            std::copy(x[row].begin(), x[row].end(),
                       fold_x.begin() + static_cast<ptrdiff_t>(r * in_w));
-            fold_t[r] = scaler.encode(data.y[row]);
+            for (size_t c = 0; c < outs; ++c)
+                fold_t[r * outs + c] = scalers[c].encode(targets[c][row]);
         }
         std::vector<uint32_t> order(n_rows);
 
@@ -437,10 +463,11 @@ trainEnsemble(const DataSet &data, const TrainOptions &opts)
         int stale = 0;
 
         // An epoch's summed squared error on sigmoid outputs is
-        // bounded by the row count; anything past this factor means
-        // the arithmetic blew up, not that the fit is merely bad.
+        // bounded by the row count times the output count; anything
+        // past this factor means the arithmetic blew up, not that the
+        // fit is merely bad.
         const double explosion_bound =
-            100.0 * static_cast<double>(train_rows.size());
+            100.0 * static_cast<double>(n_rows * outs);
 
         const auto &tm = TrainMetrics::get();
         auto &registry = obs::MetricsRegistry::global();
@@ -468,7 +495,7 @@ trainEnsemble(const DataSet &data, const TrainOptions &opts)
                 (epoch + 1) % std::max(1, opts.esInterval) != 0) {
                 continue;
             }
-            const double es_err = evalError(net, data, scaler, es_rows,
+            const double es_err = evalError(net, x, y, scaler, es_rows,
                                             opts.percentageEarlyStop);
             if (es_err < best_es - 1e-12) {
                 best_es = es_err;
@@ -524,9 +551,8 @@ trainEnsemble(const DataSet &data, const TrainOptions &opts)
             // Test-fold percentage errors feed the pooled estimate.
             for (size_t row : folds[mi]) {
                 const double pred =
-                    scaler.decode(net->predictScalar(data.x[row]));
-                fold_pct_errors[mi].push_back(
-                    percentageError(pred, data.y[row]));
+                    scaler.decode(net->predictScalar(x[row]));
+                fold_pct_errors[mi].push_back(percentageError(pred, y[row]));
             }
             slots[mi].emplace(std::move(*net));
             registry.add(tm.foldsTrained);
@@ -562,7 +588,7 @@ trainEnsemble(const DataSet &data, const TrainOptions &opts)
     }
     if (nets.empty()) {
         throw std::runtime_error(
-            "trainEnsemble: every fold diverged after retries; "
+            "trainFolds: every fold diverged after retries; "
             "no usable ensemble");
     }
 
@@ -578,7 +604,15 @@ trainEnsemble(const DataSet &data, const TrainOptions &opts)
         est.meanPct *= widen;
         est.sdPct *= widen;
     }
-    return Ensemble(std::move(nets), scaler, est, std::move(warnings));
+    return {std::move(nets), std::move(scalers), est, std::move(warnings)};
+}
+
+Ensemble
+trainEnsemble(const DataSet &data, const TrainOptions &opts)
+{
+    FoldTraining fit = trainFolds(data.x, {data.y}, opts);
+    return Ensemble(std::move(fit.nets), fit.scalers.front(), fit.estimate,
+                    std::move(fit.warnings));
 }
 
 } // namespace ml

@@ -19,13 +19,16 @@
  *  - early stopping monitors percentage error on the ES fold and
  *    rolls back to the best-seen weights.
  *
+ * One driver, trainFolds, implements all of this for networks with
+ * one output per target column; trainEnsemble (one target) and
+ * trainMultiTaskEnsemble (ml/multitask.hh, several) are thin callers.
  * Fold networks are independent: each owns an RNG stream derived from
- * the training seed via SplitMix64, so trainEnsemble trains the k
- * folds concurrently on the global ThreadPool, with results
- * bit-identical to serial execution at any DSE_THREADS setting (see
- * DESIGN.md, "Parallel execution & determinism").
+ * the training seed via SplitMix64, so the driver trains the k folds
+ * concurrently on the global ThreadPool, with results bit-identical
+ * to serial execution at any DSE_THREADS setting (see DESIGN.md,
+ * "Parallel execution & determinism").
  *
- * Per fold, training rows are packed once into a contiguous matrix
+ * Per fold, training rows are packed once into contiguous matrices
  * with pre-encoded targets, and each epoch runs as a single
  * Ann::trainEpoch call over a pre-drawn presentation order (see
  * DESIGN.md, "Training pipeline") — bit-identical to the historical
@@ -238,20 +241,49 @@ class Ensemble
     std::vector<TrainWarning> warnings_;
 };
 
+/** What trainFolds returns: the surviving fold networks and more. */
+struct FoldTraining
+{
+    std::vector<Ann> nets;               ///< surviving folds, in fold order
+    std::vector<TargetScaler> scalers;   ///< one per target column
+    ErrorEstimate estimate;              ///< of target column 0
+    std::vector<TrainWarning> warnings;  ///< one per dropped fold
+};
+
 /**
- * Train a k-fold cross-validation ensemble on a data set.
+ * The k-fold training driver behind trainEnsemble and
+ * trainMultiTaskEnsemble. Fits one TargetScaler per target column and
+ * trains each fold's network with one output per column. Column 0 is
+ * the primary target: it alone sets the presentation weights, the
+ * early-stopping error and the pooled error estimate.
  *
  * Failure containment: a fold whose network diverges is retried up
  * to opts.foldRetries times from deterministically reseeded
  * initializations; a fold that still fails is dropped rather than
- * aborting the campaign. The returned ensemble then carries the
- * surviving members, a warnings() entry per dropped fold, and an
- * error estimate widened by sqrt(k / survivors). Only if *every*
- * fold exhausts its retries does this throw.
+ * aborting the campaign. The result then carries the surviving
+ * members, a warning per dropped fold, and an error estimate widened
+ * by sqrt(k / survivors). Only if *every* fold exhausts its retries
+ * does this throw.
+ *
+ * @param x encoded feature rows, all of one width
+ * @param targets raw (unscaled) target columns, each x.size() long
+ * @param opts training configuration
+ * @throws std::invalid_argument on fewer than max(2, folds) rows,
+ *         no target column, or rows and columns of mismatched size
+ * @throws std::runtime_error if all folds diverge
+ */
+FoldTraining trainFolds(const std::vector<std::vector<double>> &x,
+                        const std::vector<std::vector<double>> &targets,
+                        const TrainOptions &opts);
+
+/**
+ * Train a k-fold cross-validation ensemble on a data set: trainFolds
+ * on the one target column (see there for failure containment).
  *
  * @param data encoded features and raw (unscaled) targets
  * @param opts training configuration
  * @return the ensemble with its error estimate
+ * @throws std::invalid_argument on malformed or too few rows
  * @throws std::runtime_error if all folds diverge
  */
 Ensemble trainEnsemble(const DataSet &data, const TrainOptions &opts);

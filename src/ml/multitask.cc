@@ -1,21 +1,16 @@
 #include "ml/multitask.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
-
-#include "util/stats.hh"
 
 namespace dse {
 namespace ml {
 
 MultiTaskEnsemble::MultiTaskEnsemble(std::vector<Ann> nets,
                                      std::vector<TargetScaler> scalers,
-                                     ErrorEstimate primary_estimate)
+                                     ErrorEstimate primary_estimate,
+                                     std::vector<TrainWarning> warnings)
     : nets_(std::move(nets)), scalers_(std::move(scalers)),
-      estimate_(primary_estimate)
+      estimate_(primary_estimate), warnings_(std::move(warnings))
 {
     if (nets_.empty())
         throw std::invalid_argument("ensemble needs at least one member");
@@ -54,137 +49,16 @@ MultiTaskEnsemble
 trainMultiTaskEnsemble(const MultiTaskDataSet &data,
                        const TrainOptions &opts)
 {
-    if (data.targets() == 0)
-        throw std::invalid_argument("need at least one target");
-    if (data.size() < static_cast<size_t>(opts.folds) || opts.folds < 2)
-        throw std::invalid_argument("need at least `folds` points");
-
-    Rng rng(opts.seed);
-
-    // Per-target scalers.
-    std::vector<TargetScaler> scalers(data.targets());
-    for (size_t t = 0; t < data.targets(); ++t) {
-        std::vector<double> col(data.size());
-        for (size_t i = 0; i < data.size(); ++i)
-            col[i] = data.y[i][t];
-        scalers[t].fit(col);
+    std::vector<std::vector<double>> columns(data.targets());
+    for (size_t i = 0; i < data.y.size(); ++i) {
+        if (data.y[i].size() != data.targets())
+            throw std::invalid_argument("target row of the wrong width");
+        for (size_t t = 0; t < data.targets(); ++t)
+            columns[t].push_back(data.y[i][t]);
     }
-
-    std::vector<size_t> order(data.size());
-    std::iota(order.begin(), order.end(), 0);
-    rng.shuffle(order);
-    const int k = opts.folds;
-    std::vector<std::vector<size_t>> folds(static_cast<size_t>(k));
-    for (size_t i = 0; i < order.size(); ++i)
-        folds[i % static_cast<size_t>(k)].push_back(order[i]);
-
-    const int inputs = static_cast<int>(data.x.front().size());
-    const int outputs = static_cast<int>(data.targets());
-    std::vector<Ann> nets;
-    std::vector<double> pooled_primary_errors;
-
-    for (int m = 0; m < k; ++m) {
-        const int test_fold = m;
-        const int es_fold = (m + k - 1) % k;
-
-        std::vector<size_t> train_rows;
-        for (int f = 0; f < k; ++f) {
-            if (f == test_fold || f == es_fold)
-                continue;
-            train_rows.insert(train_rows.end(), folds[f].begin(),
-                              folds[f].end());
-        }
-        const auto &es_rows = folds[static_cast<size_t>(es_fold)];
-        const auto &test_rows = folds[static_cast<size_t>(test_fold)];
-
-        // Cumulative presentation weights by primary target.
-        std::vector<double> cdf(train_rows.size());
-        double acc = 0.0;
-        for (size_t i = 0; i < train_rows.size(); ++i) {
-            const double t = std::abs(data.y[train_rows[i]][0]);
-            acc += opts.weightedPresentation ? 1.0 / std::max(t, 1e-6)
-                                             : 1.0;
-            cdf[i] = acc;
-        }
-
-        Ann net(inputs, outputs, opts.ann, rng);
-
-        // Row pack/prediction buffers for primary_error, reused
-        // across early-stopping evaluations.
-        std::vector<double> exbuf;
-        std::vector<double> eybuf;
-        auto primary_error = [&](const std::vector<size_t> &rows) {
-            if (rows.empty())
-                return 0.0;
-            const size_t n = rows.size();
-            const size_t in = static_cast<size_t>(inputs);
-            const size_t no = static_cast<size_t>(outputs);
-            if (exbuf.size() < n * in)
-                exbuf.resize(n * in);
-            if (eybuf.size() < n * no)
-                eybuf.resize(n * no);
-            for (size_t r = 0; r < n; ++r)
-                std::copy(data.x[rows[r]].begin(), data.x[rows[r]].end(),
-                          exbuf.begin() + static_cast<ptrdiff_t>(r * in));
-            net.predictBatch(exbuf.data(), n, eybuf.data());
-            double sum = 0.0;
-            for (size_t r = 0; r < n; ++r) {
-                const double pred = scalers[0].decode(eybuf[r * no]);
-                sum += percentageError(pred, data.y[rows[r]][0]);
-            }
-            return sum / static_cast<double>(n);
-        };
-
-        double best_es = std::numeric_limits<double>::infinity();
-        auto best_weights = net.weights();
-        int stale = 0;
-        std::vector<double> target(static_cast<size_t>(outputs));
-
-        const double base_lr = opts.ann.learningRate;
-        for (int epoch = 0; epoch < opts.maxEpochs; ++epoch) {
-            if (opts.ann.decayEpochs > 0.0) {
-                net.setLearningRate(
-                    base_lr / (1.0 + epoch / opts.ann.decayEpochs));
-            }
-            for (size_t n = 0; n < train_rows.size(); ++n) {
-                const double r = rng.uniform() * cdf.back();
-                const auto it = std::upper_bound(cdf.begin(), cdf.end(), r);
-                const size_t row = train_rows[static_cast<size_t>(
-                    std::min<ptrdiff_t>(it - cdf.begin(),
-                        static_cast<ptrdiff_t>(cdf.size()) - 1))];
-                for (size_t t = 0; t < data.targets(); ++t)
-                    target[t] = scalers[t].encode(data.y[row][t]);
-                net.train(data.x[row], target);
-            }
-            if (!opts.earlyStopping ||
-                (epoch + 1) % std::max(1, opts.esInterval) != 0) {
-                continue;
-            }
-            const double es_err = primary_error(es_rows);
-            if (es_err < best_es - 1e-12) {
-                best_es = es_err;
-                best_weights = net.weights();
-                stale = 0;
-            } else if (++stale >= opts.patience) {
-                break;
-            }
-        }
-        if (opts.earlyStopping)
-            net.setWeights(best_weights);
-
-        for (size_t row : test_rows) {
-            const double pred =
-                scalers[0].decode(net.predict(data.x[row])[0]);
-            pooled_primary_errors.push_back(
-                percentageError(pred, data.y[row][0]));
-        }
-        nets.push_back(std::move(net));
-    }
-
-    ErrorEstimate est;
-    est.meanPct = mean(pooled_primary_errors);
-    est.sdPct = stddev(pooled_primary_errors);
-    return MultiTaskEnsemble(std::move(nets), std::move(scalers), est);
+    FoldTraining fit = trainFolds(data.x, columns, opts);
+    return MultiTaskEnsemble(std::move(fit.nets), std::move(fit.scalers),
+                             fit.estimate, std::move(fit.warnings));
 }
 
 } // namespace ml

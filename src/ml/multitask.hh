@@ -11,6 +11,12 @@
  * once, sharing its hidden layer. The shared representation acts as
  * an inductive bias that can improve the main metric's accuracy in
  * the sparse-sampling regime.
+ *
+ * Training is trainEnsemble's k-fold driver (trainFolds in
+ * ml/cross_validation.hh) with one output unit per target: parallel
+ * folds on per-fold RNG streams, packed epochs, fold retries and
+ * TrainWarnings, with the primary target alone driving presentation
+ * weights, early stopping and the error estimate.
  */
 
 #ifndef DSE_ML_MULTITASK_HH
@@ -53,7 +59,8 @@ class MultiTaskEnsemble
   public:
     MultiTaskEnsemble(std::vector<Ann> nets,
                       std::vector<TargetScaler> scalers,
-                      ErrorEstimate primary_estimate);
+                      ErrorEstimate primary_estimate,
+                      std::vector<TrainWarning> warnings = {});
 
     /** Predict all targets (raw units, ensemble average). */
     std::vector<double> predictAll(const std::vector<double> &x) const;
@@ -61,8 +68,16 @@ class MultiTaskEnsemble
     /** Predict only the primary target. */
     double predictPrimary(const std::vector<double> &x) const;
 
-    /** Cross-validation estimate for the primary target. */
+    /** Cross-validation estimate for the primary target, widened as
+     *  Ensemble::estimate() is when folds were dropped. */
     const ErrorEstimate &estimate() const { return estimate_; }
+
+    /** One report per fold dropped during training (see
+     *  Ensemble::warnings()). */
+    const std::vector<TrainWarning> &warnings() const
+    {
+        return warnings_;
+    }
 
     size_t members() const { return nets_.size(); }
 
@@ -70,12 +85,17 @@ class MultiTaskEnsemble
     std::vector<Ann> nets_;
     std::vector<TargetScaler> scalers_;
     ErrorEstimate estimate_;
+    std::vector<TrainWarning> warnings_;
 };
 
 /**
- * Train a multi-task ensemble with the same fold rotation, weighted
- * presentation (by the primary target), and percentage-error early
- * stopping (on the primary target) as the single-task trainer.
+ * Train a multi-task ensemble: trainFolds with data.y transposed into
+ * one column per target, so one target gives exactly trainEnsemble's
+ * members and estimate.
+ *
+ * @throws std::invalid_argument on a row whose target count differs
+ *         from targets(), and wherever trainFolds throws it
+ * @throws std::runtime_error if all folds diverge
  */
 MultiTaskEnsemble trainMultiTaskEnsemble(const MultiTaskDataSet &data,
                                          const TrainOptions &opts);

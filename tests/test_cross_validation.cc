@@ -140,6 +140,18 @@ TEST(CrossValidation, RejectsTooFewPoints)
     const auto data = syntheticData(5, 7);
     TrainOptions opts;  // 10 folds
     EXPECT_THROW(trainEnsemble(data, opts), std::invalid_argument);
+
+    // Enough rows, but malformed: feature rows wider or narrower than
+    // the first, or fewer targets than rows.
+    auto long_x = syntheticData(50, 7);
+    long_x.x[11].push_back(0.5);
+    EXPECT_THROW(trainEnsemble(long_x, opts), std::invalid_argument);
+    auto short_x = syntheticData(50, 7);
+    short_x.x[42].pop_back();
+    EXPECT_THROW(trainEnsemble(short_x, opts), std::invalid_argument);
+    auto short_y = syntheticData(50, 7);
+    short_y.y.pop_back();
+    EXPECT_THROW(trainEnsemble(short_y, opts), std::invalid_argument);
 }
 
 TEST(CrossValidation, RejectsSingleFold)

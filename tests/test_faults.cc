@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,9 +28,11 @@
 #include "fnv.hh"
 #include "ml/cross_validation.hh"
 #include "ml/io.hh"
+#include "ml/multitask.hh"
 #include "study/harness.hh"
 #include "study/journal.hh"
 #include "util/fault.hh"
+#include "util/stats.hh"
 #include "util/thread_pool.hh"
 
 namespace dse {
@@ -517,6 +520,65 @@ TEST_F(FaultsTraining, DroppedFoldDigestIsPinned)
     ASSERT_EQ(model.warnings().size(), 1u);
     EXPECT_EQ(model.warnings()[0].fold, 2);
     EXPECT_EQ(testfnv::ensembleDigest(model), "0x011a8c4ce2fc5806");
+}
+
+TEST_F(FaultsTraining, MultiTaskDropsAFoldAndWidensItsEstimate)
+{
+    // Multi-task training runs the same fold driver, so a fold fault
+    // drops a member there too. This spec exhausts all four attempts
+    // of fold 0 and fires on no first attempt of folds 1..3.
+    const std::string spec = "fold:0.6:60";
+    const auto single = smallDataSet();
+    const auto opts = fastTrainOptions();
+    const size_t k = static_cast<size_t>(opts.folds);
+    ml::MultiTaskDataSet two;
+    two.targetNames = {"y", "z"};
+    ml::MultiTaskDataSet one;
+    one.targetNames = {"y"};
+    for (size_t i = 0; i < single.size(); ++i) {
+        two.add(single.x[i], {single.y[i], 0.2 + 0.5 * single.x[i][1]});
+        one.add(single.x[i], {single.y[i]});
+    }
+
+    util::FaultInjector::global().configure(spec);
+    const auto model = ml::trainMultiTaskEnsemble(two, opts);
+    ASSERT_EQ(model.warnings().size(), 1u);
+    EXPECT_EQ(model.warnings()[0].fold, 0);
+    EXPECT_EQ(model.warnings()[0].attempts, 1 + opts.foldRetries);
+    EXPECT_EQ(model.members(), k - 1);
+    EXPECT_TRUE(std::isfinite(model.estimate().meanPct));
+
+    // With one target the degraded multi-task ensemble is the
+    // degraded trainEnsemble result, widened estimate included.
+    util::FaultInjector::global().configure(spec);
+    const auto multi = ml::trainMultiTaskEnsemble(one, opts);
+    util::FaultInjector::global().configure(spec);
+    const auto ref = ml::trainEnsemble(single, opts);
+    ASSERT_EQ(multi.members(), k - 1);
+    ASSERT_EQ(ref.members(), k - 1);
+    EXPECT_EQ(multi.warnings()[0].fold, ref.warnings()[0].fold);
+    EXPECT_EQ(multi.estimate().meanPct, ref.estimate().meanPct);
+    EXPECT_EQ(multi.estimate().sdPct, ref.estimate().sdPct);
+
+    // And that estimate is the survivors' pooled test-fold error
+    // scaled by sqrt(k / survivors). Folds deal a seeded shuffle of
+    // the rows round-robin; survivor m - 1 was tested on fold m.
+    std::vector<size_t> order(single.size());
+    std::iota(order.begin(), order.end(), 0);
+    Rng rng(opts.seed);
+    rng.shuffle(order);
+    std::vector<double> pooled;
+    for (size_t m = 1; m < k; ++m) {
+        for (size_t i = m; i < order.size(); i += k) {
+            const size_t row = order[i];
+            pooled.push_back(percentageError(
+                ref.predictMember(m - 1, single.x[row]), single.y[row]));
+        }
+    }
+    const double widen = std::sqrt(static_cast<double>(k) /
+                                   static_cast<double>(k - 1));
+    EXPECT_EQ(ref.estimate().meanPct, mean(pooled) * widen);
+    EXPECT_EQ(ref.estimate().sdPct, stddev(pooled) * widen);
 }
 
 // ---------------------------------------------------------------------

@@ -7,7 +7,10 @@
  * introduced the parallel engine and have survived the flat-arena
  * kernel rewrite and the fused epoch-level training pipeline
  * unchanged — both were bit-exact refactors; a legitimate modelling
- * change that moves them must update the pins deliberately.
+ * change that moves them must update the pins deliberately. The
+ * TrainDigest pins were taken from the single-output trainer before
+ * trainEnsemble and trainMultiTaskEnsemble shared one fold driver,
+ * and the merge left them unchanged.
  */
 
 #include <gtest/gtest.h>

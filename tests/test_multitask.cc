@@ -1,6 +1,9 @@
 /**
  * @file
- * Tests for the multi-task learning extension (Chapter 7).
+ * Tests for the multi-task learning extension (Chapter 7). The
+ * multi-task trainer is the k-fold driver behind trainEnsemble with
+ * one output per target, so one target must reproduce trainEnsemble
+ * exactly.
  */
 
 #include <gtest/gtest.h>
@@ -91,6 +94,46 @@ TEST(MultiTask, RejectsDegenerateInputs)
     auto tiny = correlatedData(4, 5);
     EXPECT_THROW(trainMultiTaskEnsemble(tiny, fastOptions()),
                  std::invalid_argument);
+
+    // A row with fewer target values than targetNames.
+    auto short_y = correlatedData(40, 5);
+    short_y.y[17].pop_back();
+    EXPECT_THROW(trainMultiTaskEnsemble(short_y, fastOptions()),
+                 std::invalid_argument);
+
+    // Feature rows wider and narrower than the first.
+    auto long_x = correlatedData(40, 5);
+    long_x.x[23].push_back(0.5);
+    EXPECT_THROW(trainMultiTaskEnsemble(long_x, fastOptions()),
+                 std::invalid_argument);
+    auto short_x = correlatedData(40, 5);
+    short_x.x[31].pop_back();
+    EXPECT_THROW(trainMultiTaskEnsemble(short_x, fastOptions()),
+                 std::invalid_argument);
+}
+
+TEST(MultiTask, OneTargetMatchesTrainEnsemble)
+{
+    // The same rows as a one-target MultiTaskDataSet and as a
+    // DataSet go through the same fold driver, so every member, the
+    // estimate and every prediction agree bit for bit.
+    const auto two = correlatedData(120, 7);
+    MultiTaskDataSet one;
+    one.targetNames = {"ipc"};
+    DataSet single;
+    for (size_t i = 0; i < two.size(); ++i) {
+        one.add(two.x[i], {two.y[i][0]});
+        single.add(two.x[i], two.y[i][0]);
+    }
+    auto opts = fastOptions();
+    opts.maxEpochs = 300;
+    const auto multi = trainMultiTaskEnsemble(one, opts);
+    const auto ref = trainEnsemble(single, opts);
+    ASSERT_EQ(multi.members(), ref.members());
+    EXPECT_EQ(multi.estimate().meanPct, ref.estimate().meanPct);
+    EXPECT_EQ(multi.estimate().sdPct, ref.estimate().sdPct);
+    for (const auto &x : two.x)
+        EXPECT_EQ(multi.predictPrimary(x), ref.predict(x));
 }
 
 TEST(MultiTask, DeterministicForSeed)

@@ -28,6 +28,7 @@
 
 #include "ml/ann.hh"
 #include "ml/explorer.hh"
+#include "ml/multitask.hh"
 #include "sim/core.hh"
 #include "simpoint/simpoint.hh"
 #include "simpoint/smarts.hh"
@@ -334,6 +335,43 @@ TEST(ParallelDeterminism, TrainEnsembleBitIdenticalAcrossThreadCounts)
     expectEnsemblesIdentical(models[0], models[2], "1 vs 8 threads");
     EXPECT_EQ(models[0].predict({0.3, 0.7}),
               models[2].predict({0.3, 0.7}));
+}
+
+TEST(ParallelDeterminism, MultiTaskBitIdenticalAcrossThreadCounts)
+{
+    // Two targets through the shared fold driver: the folds train
+    // concurrently, and every output of every prediction matches the
+    // serial run exactly.
+    Rng rng(22);
+    ml::MultiTaskDataSet data;
+    data.targetNames = {"ipc", "miss"};
+    for (int i = 0; i < 100; ++i) {
+        const double a = rng.uniform(), b = rng.uniform();
+        data.add({a, b}, {0.5 + 0.9 * a - 0.4 * a * b,
+                          0.3 - 0.2 * a + 0.1 * b});
+    }
+    ml::TrainOptions opts;
+    opts.folds = 5;
+    opts.maxEpochs = 150;
+    opts.esInterval = 25;
+    opts.patience = 4;
+    const std::vector<std::vector<double>> probes = {
+        {0.3, 0.7}, {0.0, 1.0}, {0.9, 0.1}};
+
+    std::vector<ml::MultiTaskEnsemble> models;
+    for (size_t threads : kThreadCounts) {
+        PoolGuard guard(threads);
+        models.push_back(ml::trainMultiTaskEnsemble(data, opts));
+    }
+    for (size_t t = 1; t < models.size(); ++t) {
+        ASSERT_EQ(models[t].members(), models[0].members());
+        EXPECT_EQ(models[t].estimate().meanPct,
+                  models[0].estimate().meanPct);
+        EXPECT_EQ(models[t].estimate().sdPct, models[0].estimate().sdPct);
+        for (const auto &x : probes)
+            EXPECT_EQ(models[t].predictAll(x), models[0].predictAll(x))
+                << "threads=" << kThreadCounts[t];
+    }
 }
 
 TEST(ParallelDeterminism, TrainEpochBitIdenticalToPerExampleAcrossThreadCounts)
