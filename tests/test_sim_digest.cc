@@ -6,7 +6,10 @@
  * hand-built edge traces.
  *
  * The pins were produced by the scan-based pipeline that preceded the
- * event-driven scheduler. Any rewrite of the core's timing machinery
+ * event-driven scheduler, except dram_chain, which was recorded on the
+ * event-driven pipeline while its completions still went through a
+ * binary heap (its completions land far beyond any short completion
+ * calendar). Any rewrite of the core's timing machinery
  * must leave every pin unchanged: SimResult is integer cycles and
  * counts, so the contract is exact equality, not a tolerance. A
  * deliberate modelling change that moves them must update the pins in
@@ -413,6 +416,40 @@ widthTrace()
     return finish(std::move(ops));
 }
 
+/** Back-to-back dependent loads that each miss to DRAM (they are
+ *  never pre-warmed), with ALU ops and a warm load/store region in
+ *  between. Every other group of eight also stores to two cold blocks,
+ *  so the FSB is still busy when the next chain load misses. On the
+ *  slowest FSB with 128-byte L2 blocks the chain loads complete about
+ *  550 or 1,500 cycles after they issue, and the first one about 8,000. */
+Trace
+dramChainTrace()
+{
+    std::vector<TraceOp> ops;
+    for (size_t i = 0; i < 2400; ++i) {
+        const bool busy_fsb = i / 8 % 2 == 0;
+        TraceOp o;
+        switch (i % 8) {
+          case 0:  // depends on the previous chain load
+            o = op(OpClass::Load, 0x4000000 + 4096 * i, 8);
+            o.noWarm = true;
+            break;
+          case 1: o = op(OpClass::IntAlu, 0, 1); break;
+          case 2:
+          case 3:
+            o = op(OpClass::Store, busy_fsb ? 0x8000000 + 4096 * i
+                                            : 0xc000 + 8 * (i % 64));
+            o.noWarm = busy_fsb;
+            break;
+          case 5: o = op(OpClass::Store, 0xc000 + 8 * (i % 64), 1); break;
+          case 6: o = op(OpClass::IntAlu, 0, 2, 5); break;
+          default: o = op(OpClass::Load, 0xc000 + 8 * (i % 32)); break;
+        }
+        ops.push_back(o);
+    }
+    return finish(std::move(ops));
+}
+
 /** A random mix of everything, including mispredicted branches. */
 Trace
 randomTrace(uint64_t seed)
@@ -436,13 +473,7 @@ randomTrace(uint64_t seed)
     return finish(std::move(ops));
 }
 
-struct EdgeCase
-{
-    const char *name;
-    uint64_t digest;
-};
-
-/** Configurations each edge trace runs under. */
+/** Configurations most edge traces run under. */
 std::vector<MachineConfig>
 edgeConfigs()
 {
@@ -483,6 +514,28 @@ edgeConfigs()
     return out;
 }
 
+/** The slowest memory either study builds: the 0.533 GHz FSB moving
+ *  128-byte L2 blocks, with one MSHR and with the default eight. */
+std::vector<MachineConfig>
+slowMemoryConfigs()
+{
+    MachineConfig slow = baseConfig();
+    slow.fsbGHz = 0.533;
+    slow.l2.blockBytes = 128;
+    sim::CactiModel::applyLatencies(slow);
+    MachineConfig one_mshr = slow;
+    one_mshr.mshrs = 1;
+    return {one_mshr, slow};
+}
+
+struct EdgeCase
+{
+    const char *name;
+    Trace (*trace)();
+    std::vector<MachineConfig> (*configs)();
+    uint64_t digest;
+};
+
 void
 PrintTo(const EdgeCase &edge, std::ostream *os)
 {
@@ -491,12 +544,20 @@ PrintTo(const EdgeCase &edge, std::ostream *os)
 
 // clang-format off
 const EdgeCase kEdgePins[] = {
-    {"rob_wrap",       0x05db3e6e9fb6f75aull},
-    {"store_conflict", 0x2e7dcc89dc21ce17ull},
-    {"mshr",           0x083a796e545df5b0ull},
-    {"dependence",     0xb6648d65fff10973ull},
-    {"width",          0x08493783ea2da8b9ull},
-    {"random",         0xf0b293a2ee456508ull},
+    {"rob_wrap",       robWrapTrace,       edgeConfigs,
+     0x05db3e6e9fb6f75aull},
+    {"store_conflict", storeConflictTrace, edgeConfigs,
+     0x2e7dcc89dc21ce17ull},
+    {"mshr",           mshrTrace,          edgeConfigs,
+     0x083a796e545df5b0ull},
+    {"dependence",     dependenceTrace,    edgeConfigs,
+     0xb6648d65fff10973ull},
+    {"width",          widthTrace,         edgeConfigs,
+     0x08493783ea2da8b9ull},
+    {"random",         [] { return randomTrace(7); }, edgeConfigs,
+     0xf0b293a2ee456508ull},
+    {"dram_chain",     dramChainTrace,     slowMemoryConfigs,
+     0xaab63efd52c5aad5ull},
 };
 // clang-format on
 
@@ -504,24 +565,12 @@ class SimDigestEdge : public ::testing::TestWithParam<EdgeCase> {};
 
 TEST_P(SimDigestEdge, HandBuiltTrace)
 {
-    const std::string name = GetParam().name;
-    Trace trace;
-    if (name == "rob_wrap")
-        trace = robWrapTrace();
-    else if (name == "store_conflict")
-        trace = storeConflictTrace();
-    else if (name == "mshr")
-        trace = mshrTrace();
-    else if (name == "dependence")
-        trace = dependenceTrace();
-    else if (name == "width")
-        trace = widthTrace();
-    else
-        trace = randomTrace(7);
+    const EdgeCase &edge = GetParam();
+    const Trace trace = edge.trace();
     Fnv fnv;
-    for (const auto &cfg : edgeConfigs())
+    for (const auto &cfg : edge.configs())
         fnv.add(digestEdge(trace, cfg));
-    EXPECT_EQ(hex(fnv.value()), hex(GetParam().digest)) << name;
+    EXPECT_EQ(hex(fnv.value()), hex(edge.digest)) << edge.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
