@@ -105,7 +105,7 @@ smartsVsSimPoint(const std::string &app, size_t trace_length)
         sp_err.push_back(percentageError(
             ctx.simulateSimPointIpc(idx), full));
         const auto est = simpoint::smartsEstimateIpc(
-            ctx.trace(), ctx.config(idx), smarts);
+            ctx.trace(), ctx.config(idx), smarts, &ctx.warmStart());
         sm_instr = est.instructionsSimulated;
         sm_err.push_back(percentageError(est.ipc, full));
     }

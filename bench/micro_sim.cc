@@ -7,7 +7,9 @@
  *
  * Each case runs the middle design point of its study's space on the
  * application's generated trace, with warmed caches as StudyContext
- * simulates it.
+ * simulates it: through one sim::WarmStart that lives across
+ * iterations, so its memo is warm after the first. The `_no_memo`
+ * case passes none, so every iteration pays the whole warm-up.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +18,7 @@
 #include <string>
 
 #include "sim/core.hh"
+#include "sim/warm_start.hh"
 #include "simpoint/simpoint.hh"
 #include "study/spaces.hh"
 #include "workload/generator.hh"
@@ -40,13 +43,15 @@ struct SimCase
 
 void
 BM_DetailedSimulation(benchmark::State &state, const char *app,
-                      study::StudyKind kind, size_t length)
+                      study::StudyKind kind, size_t length, bool memo)
 {
     const SimCase c(app, kind, length);
     sim::SimOptions opts;
     opts.warmCaches = true;
+    sim::WarmStart warm(c.trace);
     for (auto _ : state) {
-        auto result = sim::simulate(c.trace, c.cfg, opts);
+        auto result =
+            sim::simulate(c.trace, c.cfg, opts, memo ? &warm : nullptr);
         benchmark::DoNotOptimize(result.ipc);
     }
     state.counters["instr_per_sec"] = benchmark::Counter(
@@ -64,9 +69,11 @@ BM_SimPointEstimate(benchmark::State &state, const char *app,
     sp_opts.intervalLength = std::max<size_t>(2048, length / 16);
     sp_opts.maxK = 6;
     const auto points = simpoint::pickSimPoints(c.trace, sp_opts);
+    sim::WarmStart warm(c.trace);
     size_t detailed = 0;
     for (auto _ : state) {
-        const auto est = simpoint::estimateIpc(c.trace, c.cfg, points);
+        const auto est =
+            simpoint::estimateIpc(c.trace, c.cfg, points, &warm);
         benchmark::DoNotOptimize(est.ipc);
         detailed = est.instructionsSimulated;
     }
@@ -78,10 +85,13 @@ BM_SimPointEstimate(benchmark::State &state, const char *app,
 } // namespace
 
 BENCHMARK_CAPTURE(BM_DetailedSimulation, mcf_memory_64k, "mcf",
-                  study::StudyKind::MemorySystem, 65536)
+                  study::StudyKind::MemorySystem, 65536, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DetailedSimulation, mcf_memory_64k_no_memo, "mcf",
+                  study::StudyKind::MemorySystem, 65536, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DetailedSimulation, gzip_processor_16k, "gzip",
-                  study::StudyKind::Processor, 16384)
+                  study::StudyKind::Processor, 16384, true)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimPointEstimate, mcf_memory_64k, "mcf",
                   study::StudyKind::MemorySystem, 65536)

@@ -33,6 +33,8 @@ struct CacheConfig
     }
 
     std::string describe() const;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Full machine description. */

@@ -4,14 +4,10 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <functional>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
-#include "sim/branch.hh"
-#include "sim/memsys.hh"
 #include "util/thread_pool.hh"
 
 namespace dse {
@@ -44,9 +40,13 @@ constexpr uint64_t kNotDone = ~0ull;
 /// ROB in any study so each in-flight trace index maps to its own slot.
 constexpr size_t kRobRing = 256;
 constexpr size_t kRobMask = kRobRing - 1;
-/// Completion-queue keys pack (doneAt << kSlotBits) | slot.
+/// Overflowing completions pack (doneAt << kSlotBits) | slot.
 constexpr int kSlotBits = 8;
 static_assert(kRobRing == size_t{1} << kSlotBits);
+/// Cycles the completion calendar's ring covers; a power of two. An
+/// L2 miss on an idle memory bus completes within it.
+constexpr size_t kCalendarCycles = 512;
+constexpr size_t kCalendarMask = kCalendarCycles - 1;
 /// Granularity (log2 bytes) of load/store disambiguation.
 constexpr int kDisambiguationShift = 3;
 /// End of a consumer list.
@@ -67,9 +67,13 @@ struct RobEntry
     bool mispredicted = false;
 };
 
-/** A set of ROB ring slots, walked in ring (age) order. */
-class RingSet
+/** A set of slots of a ring of N (a power of two), walked in ring
+ *  order. */
+template <size_t N>
+class RingBits
 {
+    static_assert(N % 64 == 0 && (N & (N - 1)) == 0);
+
   public:
     void set(size_t slot) { words_[slot >> 6] |= bit(slot); }
     void clear(size_t slot) { words_[slot >> 6] &= ~bit(slot); }
@@ -94,7 +98,7 @@ class RingSet
                 if (!fn(first + static_cast<size_t>(std::countr_zero(bits))))
                     return;
             }
-            first = (first + take) & kRobMask;
+            first = (first + take) & (N - 1);
             count -= take;
         }
     }
@@ -102,46 +106,105 @@ class RingSet
   private:
     static uint64_t bit(size_t slot) { return 1ull << (slot & 63); }
 
-    std::array<uint64_t, kRobRing / 64> words_{};
+    std::array<uint64_t, N / 64> words_{};
 };
 
-/** The state functional warming prepares: caches, predictor, BTB. */
-struct Structures
-{
-    explicit Structures(const MachineConfig &cfg)
-        : mem(cfg), predictor(cfg.bpEntries), btb(cfg.btbSets)
-    {
-    }
+/** A set of ROB ring slots, walked in age order. */
+using RingSet = RingBits<kRobRing>;
 
-    /** Functional warmup over trace [from, to): no timing. */
+/**
+ * Issued ops by completion cycle. A ring of per-cycle lists covers the
+ * kCalendarCycles cycles after the last drain, with an occupancy
+ * bitmap over it; completions further out wait in an overflow list
+ * until the ring reaches them. The lists thread through ROB slots: an
+ * op stays in the calendar from issue until its completion drains, and
+ * its slot is not reused before then.
+ */
+class CompletionCalendar
+{
+  public:
+    CompletionCalendar() { heads_.fill(kNoLink); }
+
+    /** Add the op in ROB `slot`, completing at `done` (after the last
+     *  drain). */
     void
-    replay(const Trace &trace, const MachineConfig &cfg, size_t from,
-           size_t to)
+    push(uint64_t done, size_t slot)
     {
-        uint32_t last_block = ~0u;
-        const uint32_t iblock = static_cast<uint32_t>(cfg.l1i.blockBytes);
-        for (size_t i = from; i < to; ++i) {
-            const TraceOp &op = trace.ops[i];
-            const uint32_t blk = op.pc / iblock;
-            if (blk != last_block) {
-                mem.warmFetch(op.pc);
-                last_block = blk;
-            }
-            if ((op.cls == OpClass::Load || op.cls == OpClass::Store) &&
-                !op.noWarm) {
-                mem.warmAccess(op.addr, op.cls == OpClass::Store);
-            }
-            if (op.cls == OpClass::Branch) {
-                predictor.update(op.pc, op.taken);
-                if (op.taken)
-                    btb.insert(op.pc);
-            }
+        if (done - now_ <= kCalendarCycles) {
+            link(done, slot);
+        } else {
+            overflow_.push_back(done << kSlotBits | slot);
+            overflowMin_ = std::min(overflowMin_, done);
         }
     }
 
-    MemorySystem mem;
-    TournamentPredictor predictor;
-    BranchTargetBuffer btb;
+    /** Call fn(slot) for each op completing at or before `cycle`, in
+     *  no particular order, and advance to `cycle`. */
+    template <typename Fn>
+    void
+    drain(uint64_t cycle, Fn &&fn)
+    {
+        const auto span = static_cast<size_t>(
+            std::min<uint64_t>(cycle - now_, kCalendarCycles));
+        occupied_.forEach((now_ + 1) & kCalendarMask, span, [&](size_t b) {
+            for (uint16_t slot = heads_[b]; slot != kNoLink;
+                 slot = next_[slot])
+                fn(slot);
+            heads_[b] = kNoLink;
+            occupied_.clear(b);
+            return true;
+        });
+        now_ = cycle;
+        if (overflowMin_ > cycle + kCalendarCycles)
+            return;
+        // Overflow the ring now covers moves in; anything already due
+        // (the cycle jumped straight to it) drains here.
+        overflowMin_ = ~0ull;
+        size_t kept = 0;
+        for (const uint64_t key : overflow_) {
+            const uint64_t done = key >> kSlotBits;
+            if (done <= cycle) {
+                fn(key & kRobMask);
+            } else if (done - cycle <= kCalendarCycles) {
+                link(done, key & kRobMask);
+            } else {
+                overflow_[kept++] = key;
+                overflowMin_ = std::min(overflowMin_, done);
+            }
+        }
+        overflow_.resize(kept);
+    }
+
+    /** The soonest pending completion; ~0 when none. Every ring entry
+     *  precedes every overflow entry. */
+    uint64_t
+    next() const
+    {
+        uint64_t soonest = overflowMin_;
+        const size_t first = (now_ + 1) & kCalendarMask;
+        occupied_.forEach(first, kCalendarCycles, [&](size_t b) {
+            soonest = now_ + 1 + ((b - first) & kCalendarMask);
+            return false;
+        });
+        return soonest;
+    }
+
+  private:
+    void
+    link(uint64_t done, size_t slot)
+    {
+        const size_t b = done & kCalendarMask;
+        next_[slot] = heads_[b];
+        heads_[b] = static_cast<uint16_t>(slot);
+        occupied_.set(b);
+    }
+
+    uint64_t now_ = 0;  ///< every completion up to here has drained
+    std::array<uint16_t, kCalendarCycles> heads_;  ///< per-cycle lists
+    std::array<uint16_t, kRobRing> next_{};        ///< list links
+    RingBits<kCalendarCycles> occupied_;           ///< nonempty lists
+    std::vector<uint64_t> overflow_;  ///< (doneAt << kSlotBits) | slot
+    uint64_t overflowMin_ = ~0ull;
 };
 
 /** The trace range a SimOptions selects, clamped to the trace. */
@@ -161,21 +224,28 @@ struct Range
     }
 };
 
-/** Warm fresh structures the way `opts` asks. */
+void
+checkWarmStart(const Trace &trace, const WarmStart *warm)
+{
+    if (warm && &warm->trace() != &trace)
+        throw std::invalid_argument("WarmStart built for another trace");
+}
+
+/** Fresh structures, warmed the way `opts` asks. */
 Structures
 prepare(const Trace &trace, const MachineConfig &cfg,
-        const SimOptions &opts)
+        const SimOptions &opts, WarmStart *warm)
 {
-    Structures s(cfg);
-    const Range range(opts, trace.size());
     if (opts.warmCaches)
-        s.replay(trace, cfg, 0, trace.size());
-    else if (opts.warmupInstructions > 0)
-        s.replay(trace, cfg,
-                 range.detailBegin > opts.warmupInstructions
-                     ? range.detailBegin - opts.warmupInstructions : 0,
-                 range.detailBegin);
-    return s;
+        return warm ? warm->warm(cfg) : WarmStart(trace).warm(cfg);
+    if (opts.warmupInstructions == 0)
+        return Structures(cfg);
+    const Range range(opts, trace.size());
+    return WarmStart::warmRange(
+        trace, cfg,
+        range.detailBegin > opts.warmupInstructions
+            ? range.detailBegin - opts.warmupInstructions : 0,
+        range.detailBegin);
 }
 
 /**
@@ -183,11 +253,11 @@ prepare(const Trace &trace, const MachineConfig &cfg,
  *
  * Issue scheduling is event-driven. At dispatch an op links itself
  * into the consumer lists of its in-flight producers that have not
- * completed. Issued ops enter a completion queue (a min-heap keyed by
- * completion cycle); issue() first retires the due completions, each
- * waking its consumers, and an op whose last producer has completed
- * joins an age-ordered ready set. issue() walks only that set, and
- * nextEventCycle() reads the head of the completion queue.
+ * completed. Issued ops enter a CompletionCalendar; issue() first
+ * drains the due completions, each waking its consumers, and an op
+ * whose last producer has completed joins an age-ordered ready set.
+ * issue() walks only that set, and nextEventCycle() asks the calendar
+ * for its soonest completion.
  */
 class Pipeline
 {
@@ -279,9 +349,8 @@ class Pipeline
     uint64_t
     nextEventCycle(uint64_t cycle) const
     {
-        // issue() retired every completion at or before `cycle`.
-        uint64_t next = completions_.empty()
-            ? ~0ull : completions_.top() >> kSlotBits;
+        // issue() drained every completion at or before `cycle`.
+        uint64_t next = completions_.next();
         if (!waitingBranch_ && fetchIdx_ < end_ && fetchResume_ > cycle)
             next = std::min(next, fetchResume_);
         return next == ~0ull ? cycle + 1 : next;
@@ -464,19 +533,18 @@ class Pipeline
     int
     issue(uint64_t cycle)
     {
-        // Retire due completions and wake their consumers. The
+        // Drain due completions and wake their consumers. The
         // producer may have committed this cycle, but its slot is not
-        // reused before fetchAndDispatch().
-        while (!completions_.empty() &&
-               (completions_.top() >> kSlotBits) <= cycle) {
-            RobEntry &p = rob_[completions_.top() & kRobMask];
-            completions_.pop();
+        // reused before fetchAndDispatch(). Draining only decrements
+        // counts and sets ready bits, so its order is not observable.
+        completions_.drain(cycle, [&](size_t slot) {
+            RobEntry &p = rob_[slot];
             for (uint16_t l = p.consumers; l != kNoLink; l = links_[l]) {
                 if (--rob_[l >> 1].waiting == 0)
                     ready_.set(l >> 1);
             }
             p.consumers = kNoLink;
-        }
+        });
 
         // Every op in the ready set has its operands available; visit
         // them oldest first. An op issued now completes at cycle + 1
@@ -550,7 +618,7 @@ class Pipeline
             }
             e.doneAt = done;
             ready_.clear(slot);
-            completions_.push((done << kSlotBits) | slot);
+            completions_.push(done, slot);
 
             if (e.cls == OpClass::Branch && e.mispredicted) {
                 // Redirect: fetch restarts after resolution plus the
@@ -611,9 +679,7 @@ class Pipeline
     RingSet ready_;            ///< ops free to issue this cycle
     RingSet unissuedStores_;   ///< dispatched stores not yet issued
     std::array<uint64_t, kRobRing> storeBlock_{};  ///< store's 8B block
-    /// (doneAt << kSlotBits | slot) of issued ops not yet retired.
-    std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<uint64_t>> completions_;
+    CompletionCalendar completions_;  ///< issued ops not yet drained
 
     size_t fetchIdx_ = 0;
     size_t end_ = 0;
@@ -636,16 +702,19 @@ class Pipeline
 
 SimResult
 simulate(const Trace &trace, const MachineConfig &cfg,
-         const SimOptions &opts)
+         const SimOptions &opts, WarmStart *warm_start)
 {
-    Structures s = prepare(trace, cfg, opts);
+    checkWarmStart(trace, warm_start);
+    Structures s = prepare(trace, cfg, opts, warm_start);
     return Pipeline(trace, cfg, s).run(opts);
 }
 
 std::vector<SimResult>
 simulateIntervals(const Trace &trace, const MachineConfig &cfg,
-                  const std::vector<SimOptions> &runs)
+                  const std::vector<SimOptions> &runs,
+                  WarmStart *warm_start)
 {
+    checkWarmStart(trace, warm_start);
     std::vector<size_t> warm, cold;
     for (size_t i = 0; i < runs.size(); ++i)
         (runs[i].warmCaches ? warm : cold).push_back(i);
@@ -653,7 +722,7 @@ simulateIntervals(const Trace &trace, const MachineConfig &cfg,
     util::ThreadPool &pool = util::ThreadPool::global();
     const size_t slots = std::min(runs.size(), pool.concurrency());
 
-    // Warmed runs share one functional replay. Each slot that runs
+    // Warmed runs share one functional warm-up. Each slot that runs
     // them gets its own copy, made here on the calling thread. When
     // every warmed run has a slot of its own, the original is one of
     // the copies; otherwise it stays pristine, and a slot resets its
@@ -661,7 +730,8 @@ simulateIntervals(const Trace &trace, const MachineConfig &cfg,
     std::optional<Structures> pristine;
     std::vector<Structures> states;
     if (!warm.empty()) {
-        pristine.emplace(prepare(trace, cfg, runs[warm.front()]));
+        pristine.emplace(
+            prepare(trace, cfg, runs[warm.front()], warm_start));
         const size_t n = std::min(warm.size(), slots);
         states.reserve(n);
         for (size_t s = 1; s < n; ++s)

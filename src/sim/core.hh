@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "sim/warm_start.hh"
 #include "workload/trace.hh"
 
 namespace dse {
@@ -53,7 +54,8 @@ struct SimOptions
      * SimPoint interval runs (so both measure the same steady-state
      * machine): the paper's MinneSPEC runs are long enough that
      * cold-start effects are negligible, which a short synthetic
-     * trace must emulate explicitly.
+     * trace must emulate explicitly. The replay goes through a
+     * WarmStart (sim/warm_start.hh).
      */
     bool warmCaches = false;
 };
@@ -65,16 +67,22 @@ struct SimOptions
  * (CactiModel::applyLatencies); study code does this when mapping
  * design points to configurations.
  *
+ * @param warm the trace's warm-up memo for warmCaches runs; null
+ *        warms through a throwaway one. The result does not depend
+ *        on it.
  * @return cycle and event counts plus IPC over the simulated range
+ * @throws std::invalid_argument when `warm` was built for another
+ *         trace object
  */
 SimResult simulate(const workload::Trace &trace, const MachineConfig &cfg,
-                   const SimOptions &opts = {});
+                   const SimOptions &opts = {}, WarmStart *warm = nullptr);
 
 /**
  * Simulate several ranges of one trace on one configuration, as
- * SimPoint and SMARTS estimates do. Runs with warmCaches set replay
- * the trace functionally once and each starts from an exact copy of
- * that state, so every result equals simulate(trace, cfg, runs[i]).
+ * SimPoint and SMARTS estimates do. Runs with warmCaches set warm
+ * once through `warm` (a throwaway WarmStart when null) and each
+ * starts from an exact copy of that state, so every result equals
+ * simulate(trace, cfg, runs[i]).
  *
  * The runs execute concurrently on util::ThreadPool::global(), on
  * S = min(runs, pool.concurrency()) slots. Each slot that runs warmed
@@ -89,7 +97,8 @@ SimResult simulate(const workload::Trace &trace, const MachineConfig &cfg,
  */
 std::vector<SimResult>
 simulateIntervals(const workload::Trace &trace, const MachineConfig &cfg,
-                  const std::vector<SimOptions> &runs);
+                  const std::vector<SimOptions> &runs,
+                  WarmStart *warm = nullptr);
 
 } // namespace sim
 } // namespace dse

@@ -191,11 +191,20 @@ MemorySystem::warmAccess(uint64_t addr, bool is_write)
 }
 
 void
-MemorySystem::warmFetch(uint32_t pc)
+MemorySystem::warm(const Cache &l1i, std::span<const WarmFetchMiss> l1i_misses,
+                   std::span<const uint64_t> accesses)
 {
-    auto result = l1i_.access(pc, false);
-    if (!result.hit)
-        l2_.access(pc, false);
+    l1i_ = l1i;
+    size_t next = 0;
+    const auto replay_to = [&](size_t end) {
+        for (; next < end; ++next)
+            warmAccess(accesses[next] >> 1, accesses[next] & 1);
+    };
+    for (const WarmFetchMiss &miss : l1i_misses) {
+        replay_to(miss.before);
+        l2_.access(miss.pc, false);
+    }
+    replay_to(accesses.size());
 }
 
 } // namespace sim

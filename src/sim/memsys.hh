@@ -15,6 +15,7 @@
 #define DSE_SIM_MEMSYS_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/cache.hh"
@@ -22,6 +23,14 @@
 
 namespace dse {
 namespace sim {
+
+/** An L1I miss of a functional warm-up: the fetch's pc, and how many
+ *  of the warm-up's data accesses came before it in the trace. */
+struct WarmFetchMiss
+{
+    uint32_t pc = 0;
+    uint32_t before = 0;
+};
 
 /**
  * The full data/instruction memory hierarchy with timing.
@@ -57,8 +66,15 @@ class MemorySystem
     /** Functional (untimed) warmup access, e.g. for SimPoint warmup. */
     void warmAccess(uint64_t addr, bool is_write);
 
-    /** Functional warmup of the instruction path. */
-    void warmFetch(uint32_t pc);
+    /**
+     * Functional warmup from a trace's split streams (sim::WarmStart):
+     * take `l1i`, already warmed, and send the packed data accesses
+     * (`addr << 1 | is_write`) through warmAccess(). Each L1I miss
+     * reaches the L2 just before the data access it preceded in the
+     * trace, so the L2 sees the sequence a per-op replay gives it.
+     */
+    void warm(const Cache &l1i, std::span<const WarmFetchMiss> l1i_misses,
+              std::span<const uint64_t> accesses);
 
     /** Zero cache statistics (e.g. after warmup), keeping contents. */
     void

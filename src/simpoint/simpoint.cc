@@ -83,7 +83,7 @@ pickSimPoints(const workload::Trace &trace, const SimPointOptions &opts)
 
 SimPointEstimate
 estimateIpc(const workload::Trace &trace, const sim::MachineConfig &cfg,
-            const SimPoints &points)
+            const SimPoints &points, sim::WarmStart *warm)
 {
     if (points.intervals.empty())
         throw std::invalid_argument("no simulation points");
@@ -99,7 +99,7 @@ estimateIpc(const workload::Trace &trace, const sim::MachineConfig &cfg,
         opts.detailedWarmup = points.intervalLength / 2;
         runs.push_back(opts);
     }
-    const auto results = sim::simulateIntervals(trace, cfg, runs);
+    const auto results = sim::simulateIntervals(trace, cfg, runs, warm);
 
     // Weighted harmonic-style combination: weights apply to CPI
     // (cycles per instruction accumulate linearly over intervals).

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "sim/warm_start.hh"
 #include "workload/trace.hh"
 
 namespace dse {
@@ -76,10 +77,13 @@ struct SimPointEstimate
  * representative interval is simulated in detail after functional
  * warmup of all prior history, and the per-interval IPCs combine by
  * cluster weight.
+ *
+ * @param warm the trace's warm-up memo (sim::simulateIntervals)
  */
 SimPointEstimate estimateIpc(const workload::Trace &trace,
                              const sim::MachineConfig &cfg,
-                             const SimPoints &points);
+                             const SimPoints &points,
+                             sim::WarmStart *warm = nullptr);
 
 } // namespace simpoint
 } // namespace dse

@@ -12,7 +12,7 @@ namespace simpoint {
 SmartsEstimate
 smartsEstimateIpc(const workload::Trace &trace,
                   const sim::MachineConfig &cfg,
-                  const SmartsOptions &opts)
+                  const SmartsOptions &opts, sim::WarmStart *warm)
 {
     if (opts.unitInstructions == 0 || opts.cadence == 0)
         throw std::invalid_argument("SMARTS needs positive unit/cadence");
@@ -32,7 +32,8 @@ smartsEstimateIpc(const workload::Trace &trace,
 
     SmartsEstimate est;
     double cpi_sum = 0.0;
-    for (const auto &result : sim::simulateIntervals(trace, cfg, runs)) {
+    for (const auto &result :
+         sim::simulateIntervals(trace, cfg, runs, warm)) {
         cpi_sum += 1.0 / std::max(result.ipc, 1e-9);
         est.instructionsSimulated += opts.unitInstructions;
         ++est.unitsSampled;

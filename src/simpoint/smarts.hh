@@ -18,6 +18,7 @@
 #include <cstddef>
 
 #include "sim/config.hh"
+#include "sim/warm_start.hh"
 #include "workload/trace.hh"
 
 namespace dse {
@@ -46,10 +47,13 @@ struct SmartsEstimate
  * Estimate a configuration's IPC by detailed simulation of every
  * k-th unit (with warmed caches/predictor, mirroring SMARTS'
  * continuous functional warming), aggregating per-unit CPI.
+ *
+ * @param warm the trace's warm-up memo (sim::simulateIntervals)
  */
 SmartsEstimate smartsEstimateIpc(const workload::Trace &trace,
                                  const sim::MachineConfig &cfg,
-                                 const SmartsOptions &opts = {});
+                                 const SmartsOptions &opts = {},
+                                 sim::WarmStart *warm = nullptr);
 
 } // namespace simpoint
 } // namespace dse

@@ -126,7 +126,7 @@ StudyContext::simulateFull(uint64_t index)
     std::optional<sim::SimResult> result;
     {
         obs::TraceScope span("sim", sm.wallNs);
-        result = sim::simulate(trace_, config(index), opts);
+        result = sim::simulate(trace_, config(index), opts, &warmStart());
     }
     registry.add(sm.executed);
     executed_.fetch_add(1, std::memory_order_relaxed);
@@ -222,6 +222,15 @@ StudyContext::config(uint64_t index) const
     return configFor(kind_, space_, space_.levels(index));
 }
 
+sim::WarmStart &
+StudyContext::warmStart()
+{
+    std::call_once(warmOnce_, [this] {
+        warmStart_ = std::make_unique<sim::WarmStart>(trace_);
+    });
+    return *warmStart_;
+}
+
 void
 StudyContext::injectResult(uint64_t index, const sim::SimResult &result)
 {
@@ -290,8 +299,9 @@ StudyContext::simPointScale()
     // calibrations agree and the first store wins harmlessly).
     const uint64_t ref = space_.size() / 2;
     const double full = simulateFull(ref).ipc;
-    const double raw =
-        simpoint::estimateIpc(trace_, config(ref), simPoints()).ipc;
+    const double raw = simpoint::estimateIpc(trace_, config(ref),
+                                             simPoints(), &warmStart())
+                           .ipc;
     const double scale = raw > 0.0 ? full / raw : 1.0;
 
     std::lock_guard<std::mutex> lock(simPointMu_);
@@ -319,7 +329,8 @@ StudyContext::simulateSimPointIpc(uint64_t index)
     std::optional<simpoint::SimPointEstimate> est;
     {
         obs::TraceScope span("simpoint", sm.spWallNs);
-        est = simpoint::estimateIpc(trace_, config(index), simPoints());
+        est = simpoint::estimateIpc(trace_, config(index), simPoints(),
+                                    &warmStart());
     }
     registry.add(sm.spEstimates);
     const double calibrated = est->ipc * scale;

@@ -21,6 +21,7 @@
 #include "ml/cross_validation.hh"
 #include "ml/encoding.hh"
 #include "sim/core.hh"
+#include "sim/warm_start.hh"
 #include "simpoint/simpoint.hh"
 #include "study/journal.hh"
 #include "study/spaces.hh"
@@ -92,6 +93,14 @@ class StudyContext
 
     /** Machine configuration of a design point. */
     sim::MachineConfig config(uint64_t index) const;
+
+    /**
+     * The trace's functional warm-up memo, built on first use (not at
+     * construction). Every warm run of the context goes through it;
+     * pass it to warm runs made outside the context, such as SMARTS
+     * estimates, to share it.
+     */
+    sim::WarmStart &warmStart();
 
     /// @name Remote-result injection (dse::remote::RemoteDispatcher).
     /// Simulation is a pure function of (trace, config), so a result
@@ -213,6 +222,8 @@ class StudyContext
     std::mutex simPointMu_;  ///< guards simPoints_ / simPointScale_
     std::unique_ptr<simpoint::SimPoints> simPoints_;
     double simPointScale_ = 0.0;  ///< lazily calibrated; 0 = not yet
+    std::once_flag warmOnce_;
+    std::unique_ptr<sim::WarmStart> warmStart_;
     std::unique_ptr<SimJournal> journal_;
     SimJournal::ReplayStats journalStats_;
     std::atomic<size_t> executed_{0};  ///< non-replayed simulations

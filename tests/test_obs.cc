@@ -379,6 +379,51 @@ TEST_F(ObsDeterminism, JournalReplayCountsSurviveRestart)
     EXPECT_EQ(snap.counter("journal.torn_tails"), 0u);
 }
 
+TEST_F(ObsDeterminism, WarmStartMemoCountsBuildsAndHitsPerStructure)
+{
+    // Every warm run looks up each structure once; a structure builds
+    // once per distinct configuration of it, even when the first
+    // requests race on the pool.
+    obs::MetricsRegistry::global().reset();
+    study::StudyContext ctx(study::StudyKind::Processor, "gzip", 4096);
+    std::vector<uint64_t> points;
+    for (uint64_t k = 1; k <= 12; ++k)
+        points.push_back((k * 0x9e3779b97f4a7c15ull >> 17) %
+                         (ctx.space().size() / 2));
+    std::set<int> predictors, btbs, l1is;
+    for (uint64_t idx : points) {
+        const auto cfg = ctx.config(idx);
+        predictors.insert(cfg.bpEntries);
+        btbs.insert(cfg.btbSets);
+        l1is.insert(cfg.l1i.sizeKB);
+    }
+    const std::set<uint64_t> distinct(points.begin(), points.end());
+    ctx.simulateBatch(points);
+    // One estimate, after the calibration's detailed run and estimate
+    // of the space's middle point (not among the points above).
+    const uint64_t middle = ctx.space().size() / 2;
+    ctx.simulateSimPointIpc(points.front());
+    const auto mid = ctx.config(middle);
+    predictors.insert(mid.bpEntries);
+    btbs.insert(mid.btbSets);
+    l1is.insert(mid.l1i.sizeKB);
+    const uint64_t warm_runs = distinct.size() + 3;
+    ASSERT_GT(predictors.size(), 1u);  // the keys must tell them apart
+
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    const auto expect = [&](const std::string &structure, size_t keys) {
+        const uint64_t builds =
+            snap.counter("sim.warm_builds." + structure);
+        EXPECT_EQ(builds, keys) << structure;
+        EXPECT_EQ(builds + snap.counter("sim.warm_hits." + structure),
+                  warm_runs)
+            << structure;
+    };
+    expect("predictor", predictors.size());
+    expect("btb", btbs.size());
+    expect("l1i", l1is.size());
+}
+
 // ---------------------------------------------------------------------
 // Trace emission.
 // ---------------------------------------------------------------------
