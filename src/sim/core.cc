@@ -44,7 +44,7 @@ constexpr size_t kRobMask = kRobRing - 1;
 constexpr int kSlotBits = 8;
 static_assert(kRobRing == size_t{1} << kSlotBits);
 /// Cycles the completion calendar's ring covers; a power of two. An
-/// L2 miss on an idle memory bus completes within it.
+/// L2 miss on the default, idle memory bus (under 480 cycles) fits.
 constexpr size_t kCalendarCycles = 512;
 constexpr size_t kCalendarMask = kCalendarCycles - 1;
 /// Granularity (log2 bytes) of load/store disambiguation.
