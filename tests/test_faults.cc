@@ -320,6 +320,50 @@ TEST_F(FaultsJournal, InjectedTornAppendIsRecoveredOnResume)
     EXPECT_EQ(ctx.simulationsExecuted(), 1u);
 }
 
+TEST_F(FaultsJournal, ByteFormatIsPinned)
+{
+    // A header and three fixed records. The pin covers every byte on
+    // disk, so a journal written by this build replays in any build
+    // that keeps the pin, and the reverse.
+    const std::string path = tmpPath("pinned.journal");
+    const auto results = testfnv::pinnedResults();
+    const std::vector<uint64_t> indices = {
+        7, std::numeric_limits<uint64_t>::max(), 0};
+    {
+        study::SimJournal journal(path, study::StudyKind::Processor, "mcf",
+                                  65536);
+        for (size_t i = 0; i < results.size(); ++i)
+            journal.append(indices[i], results[i]);
+    }
+    const std::string bytes = readFile(path);
+    const size_t header = 8 + 4 + 4 + 8 + 4 + 3 + 8;
+    EXPECT_EQ(bytes.size(),
+              header + results.size() * study::SimJournal::kRecordSize);
+    EXPECT_EQ(testfnv::bytesDigest(bytes.substr(0, header)),
+              "0x8605bd9f9b8c947d");
+    EXPECT_EQ(testfnv::bytesDigest(bytes), "0x518282d55e28bf02");
+
+    // Replay hands back every field bit for bit, NaN payload included.
+    study::SimJournal journal(path, study::StudyKind::Processor, "mcf",
+                              65536);
+    std::vector<uint64_t> got_indices;
+    std::vector<sim::SimResult> got;
+    const auto stats =
+        journal.replay([&](uint64_t index, const sim::SimResult &r) {
+            got_indices.push_back(index);
+            got.push_back(r);
+        });
+    EXPECT_EQ(stats.replayed, results.size());
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_FALSE(stats.tornTail);
+    ASSERT_EQ(got.size(), results.size());
+    EXPECT_EQ(got_indices, indices);
+    for (size_t i = 0; i < results.size(); ++i)
+        EXPECT_EQ(testfnv::resultDigest(got[i]),
+                  testfnv::resultDigest(results[i]))
+            << "record " << i;
+}
+
 TEST_F(FaultsJournal, InjectedSimFailurePropagatesAndRecovers)
 {
     util::FaultInjector::global().configure("sim:1:1");
@@ -589,6 +633,42 @@ ml::Ensemble
 smallTrainedEnsemble()
 {
     return ml::trainEnsemble(smallDataSet(), fastTrainOptions());
+}
+
+/** A two-member ensemble with fixed weights, built without training
+ *  so the model-file pin depends on the file format alone. */
+ml::Ensemble
+fixedEnsemble()
+{
+    ml::AnnParams params;
+    params.hiddenUnits = 3;
+    Rng rng(0);
+    std::vector<ml::Ann> nets;
+    for (int m = 0; m < 2; ++m) {
+        ml::Ann net(2, 1, params, rng);
+        std::vector<double> w(net.weightCount());
+        for (size_t i = 0; i < w.size(); ++i)
+            w[i] = (static_cast<double>(i) - 3.5) / (m + 7.0);
+        w[1] = -0.0;
+        net.setWeights(w);
+        nets.push_back(std::move(net));
+    }
+    return ml::Ensemble(std::move(nets),
+                        ml::TargetScaler::fromRange(0.25, 2.5, 0.1, 0.9),
+                        {3.25, 1.0 / 3.0});
+}
+
+TEST_F(FaultsIo, ModelFileBytesArePinned)
+{
+    const auto model = fixedEnsemble();
+    const std::string path = tmpPath("pinned_model.txt");
+    ml::saveEnsemble(path, model);
+    const std::string bytes = readFile(path);
+    EXPECT_EQ(testfnv::bytesDigest(bytes), "0xf7c7baf8e5ad169e");
+
+    const auto restored = ml::loadEnsemble(path);
+    EXPECT_EQ(testfnv::ensembleDigest(restored),
+              testfnv::ensembleDigest(model));
 }
 
 TEST_F(FaultsIo, AtomicSaveRoundTripsAndLeavesNoTemp)

@@ -8,6 +8,9 @@
  * different client's connection (a control connection stays open
  * throughout and must keep round-tripping).
  *
+ * ServeFuzzFormat pins the bytes encodeFrame writes for every message
+ * type, so a peer built from an older or newer tree keeps talking.
+ *
  * Suites are named ServeFuzz* and live in the dse_serve_tests binary
  * (label `serve`), so the serve-tsan / serve-asan presets cover this
  * file too (mirroring test_journal_fuzz.cc for the journal).
@@ -16,10 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "fnv.hh"
 #include "ml/cross_validation.hh"
 #include "ml/encoding.hh"
 #include "serve/client.hh"
@@ -311,6 +316,143 @@ TEST_F(ServeFuzz, ReplyNeverCrossesConnections)
     EXPECT_EQ(pa.y[0], ya[0]);
     EXPECT_EQ(pb.y[0], yb[0]);
     assertControlAlive();
+}
+
+TEST(ServeFuzzFormat, FrameBytesArePinned)
+{
+    using serve::MsgType;
+    const double nan = testfnv::nanWithPayload();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+
+    serve::LoadModelRequest load;
+    load.path = "/models/mcf.model";
+    load.hasStudy = true;
+    load.study = 1;
+    load.app = "mcf";
+    load.train = true;
+    load.maxSims = 120;
+    load.maxEpochs = 800;
+
+    serve::PredictPointsRequest points;
+    points.width = 3;
+    points.x = {0.25, -0.0, tiny, nan, 1e300, -1.5};
+
+    serve::PredictRangeRequest range;
+    range.first = 1ull << 40;
+    range.count = 7;
+
+    serve::SimulateBatchRequest simulate;
+    simulate.study = 0;
+    simulate.app = "gzip";
+    simulate.traceLength = 1 << 20;
+    simulate.simpoint = true;
+    simulate.indices = {0, 977, std::numeric_limits<uint64_t>::max()};
+
+    serve::ModelInfoReply loaded;
+    loaded.members = 10;
+    loaded.inputs = 24;
+    loaded.outputs = 1;
+    loaded.estMeanPct = 2.5;
+    loaded.estSdPct = 1.0 / 3.0;
+    loaded.degraded = true;
+    loaded.spaceSize = 23040;
+    loaded.study = "memory-system";
+    loaded.app = "mcf";
+
+    serve::ModelInfoReply info;
+    info.members = 3;
+    info.inputs = 3;
+    info.outputs = 1;
+    info.estMeanPct = -0.0;
+    info.estSdPct = nan;
+
+    serve::PredictionsReply predictions;
+    predictions.y = {1.0, -0.0, nan, tiny};
+
+    serve::StatsReply stats;
+    stats.requests = 1;
+    stats.predictions = 2;
+    stats.batchedRequests = 3;
+    stats.overloaded = 4;
+    stats.protocolErrors = 5;
+    stats.bytesRx = 1ull << 33;
+    stats.bytesTx = std::numeric_limits<uint64_t>::max();
+    stats.connectionsAccepted = 8;
+    stats.activeConnections = 9;
+    stats.queueDepth = 10;
+
+    serve::SimulateBatchReply full;
+    full.results = testfnv::pinnedResults();
+
+    serve::SimulateBatchReply estimates;
+    estimates.simpoint = true;
+    estimates.ipc = {0.5, -0.0, tiny, nan};
+
+    serve::ErrorReply error;
+    error.code = serve::ErrCode::BadIndex;
+    error.message = "index range outside the design space";
+
+    struct Case
+    {
+        const char *name;
+        MsgType type;
+        std::string payload;
+        const char *digest;
+    };
+    const Case cases[] = {
+        {"Ping", MsgType::Ping, "dse", "0xff5e14882726caad"},
+        {"LoadModel", MsgType::LoadModel, load.encode(),
+         "0x01030daeed14e19d"},
+        {"PredictPoints", MsgType::PredictPoints, points.encode(),
+         "0x7c79cea2dbdeb11e"},
+        {"PredictRange", MsgType::PredictRange, range.encode(),
+         "0xf7d771d016db4791"},
+        {"ModelInfo", MsgType::ModelInfo, "", "0xc6016be37b683fef"},
+        {"Stats", MsgType::Stats, "", "0x59ec4b68891b5167"},
+        {"SimulateBatch", MsgType::SimulateBatch, simulate.encode(),
+         "0x35f5078fe74b34bb"},
+        {"Pong", MsgType::Pong, "dse", "0x6978db186138ef13"},
+        {"ModelLoaded", MsgType::ModelLoaded, loaded.encode(),
+         "0x493a07b249aecc10"},
+        {"Predictions", MsgType::Predictions, predictions.encode(),
+         "0xa1703fc74cb090ce"},
+        {"ModelInfoReply", MsgType::ModelInfoReply, info.encode(),
+         "0xaee60d0d62775e62"},
+        {"StatsReply", MsgType::StatsReply, stats.encode(),
+         "0xbeb1f3fec404f75d"},
+        {"SimulateBatchReply/full", MsgType::SimulateBatchReply,
+         full.encode(), "0x8cfa1082b36a9e0b"},
+        {"SimulateBatchReply/simpoint", MsgType::SimulateBatchReply,
+         estimates.encode(), "0x250aa121af12bb46"},
+        {"Error", MsgType::Error, error.encode(), "0xbc5584fe34430c0c"},
+    };
+    uint64_t id = 0x0102030405060708ull;
+    for (const auto &c : cases) {
+        const std::string frame = serve::encodeFrame(c.type, id, c.payload);
+        EXPECT_EQ(testfnv::bytesDigest(frame), c.digest) << c.name;
+
+        serve::Frame decoded;
+        size_t consumed = 0;
+        ASSERT_EQ(serve::decodeFrame(frame.data(), frame.size(),
+                                     serve::kDefaultMaxPayload, decoded,
+                                     consumed),
+                  serve::DecodeStatus::Frame)
+            << c.name;
+        EXPECT_EQ(consumed, frame.size()) << c.name;
+        EXPECT_EQ(decoded.type, c.type) << c.name;
+        EXPECT_EQ(decoded.id, id) << c.name;
+        EXPECT_EQ(decoded.payload, c.payload) << c.name;
+        id += 0x1111;
+    }
+
+    // The full-mode reply decodes to the same results, bit for bit.
+    serve::SimulateBatchReply back;
+    ASSERT_TRUE(serve::SimulateBatchReply::decode(full.encode(), back));
+    ASSERT_EQ(back.results.size(), full.results.size());
+    for (size_t i = 0; i < full.results.size(); ++i)
+        EXPECT_EQ(testfnv::resultDigest(back.results[i]),
+                  testfnv::resultDigest(full.results[i]))
+            << "result " << i;
 }
 
 } // namespace
