@@ -14,7 +14,7 @@ echo "DSE_THREADS=$DSE_THREADS DSE_METRICS=$DSE_METRICS"
 # Google-Benchmark binaries also emit machine-readable JSON next to
 # this script (BENCH_<name>.json) so perf changes can be diffed against
 # the committed baselines (e.g. BENCH_ann.json for micro_ann).
-GBENCH_BINARIES="micro_ann micro_sim micro_explore fig_5_8_training_times"
+GBENCH_BINARIES="micro_ann micro_sim micro_explore micro_remote fig_5_8_training_times"
 
 # Gate a freshly written BENCH_<name>.json before it can replace the
 # committed baseline: it must parse as JSON and contain a non-empty
@@ -88,6 +88,9 @@ for b in build/bench/*; do
               BENCH_sim.json)
                 gate=(--bench 'BM_DetailedSimulation/.*'
                       --bench 'BM_SimPointEstimate/.*')
+                ;;
+              BENCH_remote.json)
+                gate=(--bench 'BM_SimulateBatch.*RoundTrip/.*')
                 ;;
             esac
             if [ "${#gate[@]}" -gt 0 ] &&
