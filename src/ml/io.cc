@@ -11,6 +11,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "util/bytes.hh"
 #include "util/fault.hh"
 
 namespace dse {
@@ -29,34 +30,6 @@ expectToken(std::istream &is, const std::string &expected)
     if (!(is >> token) || token != expected) {
         throw std::runtime_error("ensemble file: expected '" + expected +
                                  "', got '" + token + "'");
-    }
-}
-
-uint64_t
-fnv1a(const char *data, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= static_cast<uint8_t>(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/** Write bytes to fd, retrying on EINTR. @throws on I/O error. */
-void
-writeAll(int fd, const char *data, size_t n, const std::string &path)
-{
-    size_t done = 0;
-    while (done < n) {
-        const ssize_t w = ::write(fd, data + done, n - done);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            throw std::runtime_error("write failed: " + path + ": " +
-                                     std::strerror(errno));
-        }
-        done += static_cast<size_t>(w);
     }
 }
 
@@ -110,8 +83,8 @@ saveEnsemble(const std::string &path, const Ensemble &model)
     {
         std::ostringstream trailer;
         trailer << kChecksumTag << ' ' << std::hex << std::setw(16)
-                << std::setfill('0') << fnv1a(bytes.data(), bytes.size())
-                << '\n';
+                << std::setfill('0')
+                << util::fnv1a64(bytes.data(), bytes.size()) << '\n';
         bytes += trailer.str();
     }
 
@@ -138,7 +111,7 @@ saveEnsemble(const std::string &path, const Ensemble &model)
                                  ": " + std::strerror(errno));
     }
     try {
-        writeAll(fd, bytes.data(), bytes.size(), tmp);
+        util::writeAll(fd, bytes.data(), bytes.size(), tmp);
         if (::fsync(fd) != 0) {
             throw std::runtime_error("fsync failed: " + tmp + ": " +
                                      std::strerror(errno));
@@ -258,7 +231,7 @@ loadEnsemble(const std::string &path)
             "ensemble file truncated (unreadable checksum trailer): " +
             path);
     }
-    if (fnv1a(bytes.data(), tag_at) != stored) {
+    if (util::fnv1a64(bytes.data(), tag_at) != stored) {
         throw std::runtime_error(
             "ensemble file corrupt (checksum mismatch): " + path);
     }

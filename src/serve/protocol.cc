@@ -1,46 +1,10 @@
 #include "serve/protocol.hh"
 
-#include <bit>
-#include <cstring>
-
 namespace dse {
 namespace serve {
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-inline void
-putLe(std::string &out, uint64_t v, size_t bytes)
-{
-    for (size_t i = 0; i < bytes; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-inline uint64_t
-getLe(const char *p, size_t bytes)
-{
-    uint64_t v = 0;
-    for (size_t i = 0; i < bytes; ++i)
-        v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i]))
-            << (8 * i);
-    return v;
-}
-
-} // namespace
-
-uint64_t
-fnv1a64(const void *data, size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    uint64_t h = kFnvOffset;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
+using util::WireReader;
+using util::WireWriter;
 
 const char *
 errCodeName(ErrCode code)
@@ -62,130 +26,23 @@ errCodeName(ErrCode code)
     return "unknown";
 }
 
-// ---------------------------------------------------------------- writer
-
-void
-WireWriter::u16(uint16_t v)
-{
-    putLe(buf_, v, 2);
-}
-
-void
-WireWriter::u32(uint32_t v)
-{
-    putLe(buf_, v, 4);
-}
-
-void
-WireWriter::u64(uint64_t v)
-{
-    putLe(buf_, v, 8);
-}
-
-void
-WireWriter::f64(double v)
-{
-    putLe(buf_, std::bit_cast<uint64_t>(v), 8);
-}
-
-void
-WireWriter::str(std::string_view s)
-{
-    u32(static_cast<uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-}
-
-void
-WireWriter::raw(const void *data, size_t n)
-{
-    buf_.append(static_cast<const char *>(data), n);
-}
-
-// ---------------------------------------------------------------- reader
-
-bool
-WireReader::take(size_t n, const char **out)
-{
-    if (!ok_ || n > n_ - off_) {
-        ok_ = false;
-        return false;
-    }
-    *out = p_ + off_;
-    off_ += n;
-    return true;
-}
-
-uint8_t
-WireReader::u8()
-{
-    const char *p;
-    return take(1, &p) ? static_cast<uint8_t>(getLe(p, 1)) : 0;
-}
-
-uint16_t
-WireReader::u16()
-{
-    const char *p;
-    return take(2, &p) ? static_cast<uint16_t>(getLe(p, 2)) : 0;
-}
-
-uint32_t
-WireReader::u32()
-{
-    const char *p;
-    return take(4, &p) ? static_cast<uint32_t>(getLe(p, 4)) : 0;
-}
-
-uint64_t
-WireReader::u64()
-{
-    const char *p;
-    return take(8, &p) ? getLe(p, 8) : 0;
-}
-
-double
-WireReader::f64()
-{
-    return std::bit_cast<double>(u64());
-}
-
-std::string
-WireReader::str()
-{
-    const uint32_t n = u32();
-    const char *p;
-    if (!take(n, &p))
-        return {};
-    return std::string(p, n);
-}
-
-void
-WireReader::raw(void *out, size_t n)
-{
-    const char *p;
-    if (take(n, &p))
-        std::memcpy(out, p, n);
-    else
-        std::memset(out, 0, n);
-}
-
 // ---------------------------------------------------------------- framing
 
 std::string
 encodeFrame(MsgType type, uint64_t id, std::string_view payload)
 {
-    std::string frame;
-    frame.reserve(kHeaderSize + payload.size());
-    putLe(frame, kMagic, 4);
-    putLe(frame, kProtocolVersion, 2);
-    putLe(frame, static_cast<uint16_t>(type), 2);
-    putLe(frame, id, 8);
-    putLe(frame, static_cast<uint32_t>(payload.size()), 4);
-    putLe(frame, 0, 4);  // reserved
-    putLe(frame, fnv1a64(payload.data(), payload.size()), 8);
-    putLe(frame, fnv1a64(frame.data(), 32), 8);
-    frame.append(payload.data(), payload.size());
-    return frame;
+    WireWriter w;
+    w.reserve(kHeaderSize + payload.size());
+    w.u32(kMagic);
+    w.u16(kProtocolVersion);
+    w.u16(static_cast<uint16_t>(type));
+    w.u64(id);
+    w.u32(static_cast<uint32_t>(payload.size()));
+    w.u32(0);  // reserved
+    w.u64(util::fnv1a64(payload.data(), payload.size()));
+    w.u64(util::fnv1a64(w.bytes().data(), 32));
+    w.raw(payload.data(), payload.size());
+    return w.take();
 }
 
 DecodeStatus
@@ -196,32 +53,35 @@ decodeFrame(const char *data, size_t len, size_t max_payload, Frame &out,
     if (len < kHeaderSize)
         return DecodeStatus::NeedMore;
 
+    WireReader h(data, kHeaderSize);
+    const uint32_t magic = h.u32();
+    const uint16_t version = h.u16();
+    const uint16_t type = h.u16();
+    const uint64_t id = h.u64();
+    const uint64_t payload_len = h.u32();
+    const uint32_t reserved = h.u32();
+    const uint64_t payload_sum = h.u64();
     // Authenticate the header before trusting any field in it.
-    const uint64_t header_sum = getLe(data + 32, 8);
-    if (fnv1a64(data, 32) != header_sum)
-        return DecodeStatus::BadHeader;
-    if (getLe(data, 4) != kMagic ||
-        getLe(data + 4, 2) != kProtocolVersion || getLe(data + 20, 4) != 0)
+    if (util::fnv1a64(data, 32) != h.u64() || magic != kMagic ||
+        version != kProtocolVersion || reserved != 0)
         return DecodeStatus::BadHeader;
 
-    out.type = static_cast<MsgType>(getLe(data + 6, 2));
-    out.id = getLe(data + 8, 8);
-    const uint64_t payload_len = getLe(data + 16, 4);
+    out.type = static_cast<MsgType>(type);
+    out.id = id;
     if (payload_len > max_payload)
         return DecodeStatus::TooLarge;
     if (len < kHeaderSize + payload_len)
         return DecodeStatus::NeedMore;
 
     const char *payload = data + kHeaderSize;
-    if (fnv1a64(payload, payload_len) != getLe(data + 24, 8)) {
+    consumed = kHeaderSize + payload_len;
+    if (util::fnv1a64(payload, payload_len) != payload_sum) {
         // The header (and therefore payload_len) is authentic, so the
         // stream stays in sync: drop exactly this frame.
-        consumed = kHeaderSize + payload_len;
         out.payload.clear();
         return DecodeStatus::BadPayload;
     }
     out.payload.assign(payload, payload_len);
-    consumed = kHeaderSize + payload_len;
     return DecodeStatus::Frame;
 }
 
@@ -431,56 +291,6 @@ SimulateBatchRequest::decode(std::string_view payload,
     return r.atEnd();
 }
 
-namespace {
-
-/** SimResult fields on the wire, in declaration order (the same 15
- *  fixed 8-byte fields the journal persists). */
-constexpr size_t kSimResultWireBytes = 15 * 8;
-
-void
-putSimResult(WireWriter &w, const sim::SimResult &r)
-{
-    w.u64(r.cycles);
-    w.u64(r.instructions);
-    w.f64(r.ipc);
-    w.f64(r.l1dMissRate);
-    w.f64(r.l2MissRate);
-    w.f64(r.l1iMissRate);
-    w.f64(r.branchMispredictRate);
-    w.u64(r.l1dAccesses);
-    w.u64(r.l1dMisses);
-    w.u64(r.l2Accesses);
-    w.u64(r.l2Misses);
-    w.u64(r.l1iAccesses);
-    w.u64(r.l1iMisses);
-    w.u64(r.branches);
-    w.u64(r.branchMispredicts);
-}
-
-sim::SimResult
-getSimResult(WireReader &r)
-{
-    sim::SimResult out;
-    out.cycles = r.u64();
-    out.instructions = r.u64();
-    out.ipc = r.f64();
-    out.l1dMissRate = r.f64();
-    out.l2MissRate = r.f64();
-    out.l1iMissRate = r.f64();
-    out.branchMispredictRate = r.f64();
-    out.l1dAccesses = r.u64();
-    out.l1dMisses = r.u64();
-    out.l2Accesses = r.u64();
-    out.l2Misses = r.u64();
-    out.l1iAccesses = r.u64();
-    out.l1iMisses = r.u64();
-    out.branches = r.u64();
-    out.branchMispredicts = r.u64();
-    return out;
-}
-
-} // namespace
-
 std::string
 SimulateBatchReply::encode() const
 {
@@ -492,7 +302,7 @@ SimulateBatchReply::encode() const
             w.f64(v);
     } else {
         for (const auto &r : results)
-            putSimResult(w, r);
+            sim::putSimResult(w, r);
     }
     return w.take();
 }
@@ -504,7 +314,7 @@ SimulateBatchReply::decode(std::string_view payload,
     WireReader r(payload);
     out.simpoint = r.u8() != 0;
     const uint32_t n = r.u32();
-    const size_t per = out.simpoint ? 8 : kSimResultWireBytes;
+    const size_t per = out.simpoint ? 8 : sim::kSimResultBytes;
     if (!r.ok() || r.remaining() % per != 0 || n != r.remaining() / per)
         return false;
     out.results.clear();
@@ -516,7 +326,7 @@ SimulateBatchReply::decode(std::string_view payload,
     } else {
         out.results.reserve(n);
         for (uint32_t i = 0; i < n; ++i)
-            out.results.push_back(getSimResult(r));
+            out.results.push_back(sim::getSimResult(r));
     }
     return r.atEnd();
 }

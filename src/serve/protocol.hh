@@ -4,9 +4,8 @@
  * binary frames for the prediction service.
  *
  * Every message is one frame: a fixed 40-byte header followed by a
- * variable payload. All integers are little-endian (the only byte
- * order this library targets); doubles travel as their IEEE-754 bit
- * pattern in a u64, so a prediction served over the wire is the exact
+ * variable payload, both written through the shared byte layer
+ * (util/bytes.hh), so a prediction served over the wire is the exact
  * double the server computed — bit-identical to a local
  * Ensemble::predictBatch call.
  *
@@ -45,6 +44,7 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "util/bytes.hh"
 
 namespace dse {
 namespace serve {
@@ -109,72 +109,6 @@ enum class ErrCode : uint16_t {
 
 /** Human-readable name of an error code (stable, for logs/tests). */
 const char *errCodeName(ErrCode code);
-
-/** FNV-1a 64 over a byte range (the project-wide checksum). */
-uint64_t fnv1a64(const void *data, size_t n);
-
-/**
- * Bounds-checked little-endian payload serializer. Appending never
- * fails; the buffer grows as needed.
- */
-class WireWriter
-{
-  public:
-    void u8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-    void u16(uint16_t v);
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void f64(double v);
-    /** u32 length prefix + raw bytes. */
-    void str(std::string_view s);
-    /** Raw bytes, no prefix (pre-counted arrays). */
-    void raw(const void *data, size_t n);
-
-    const std::string &bytes() const { return buf_; }
-    std::string take() { return std::move(buf_); }
-
-  private:
-    std::string buf_;
-};
-
-/**
- * Bounds-checked little-endian payload parser. A read past the end
- * (or a length prefix pointing outside the buffer) latches the fail
- * flag and returns zeros/empties; callers check ok() once at the end
- * instead of guarding every field — hostile payloads can never read
- * out of bounds or throw from the parse path.
- */
-class WireReader
-{
-  public:
-    WireReader(const void *data, size_t n)
-        : p_(static_cast<const char *>(data)), n_(n)
-    {}
-    explicit WireReader(std::string_view s) : WireReader(s.data(), s.size()) {}
-
-    uint8_t u8();
-    uint16_t u16();
-    uint32_t u32();
-    uint64_t u64();
-    double f64();
-    std::string str();
-    /** Read n raw bytes into out; out is cleared on bounds failure. */
-    void raw(void *out, size_t n);
-
-    /** True iff no read ever ran past the end. */
-    bool ok() const { return ok_; }
-    /** True iff the whole buffer was consumed (and ok()). */
-    bool atEnd() const { return ok_ && off_ == n_; }
-    size_t remaining() const { return ok_ ? n_ - off_ : 0; }
-
-  private:
-    bool take(size_t n, const char **out);
-
-    const char *p_;
-    size_t n_;
-    size_t off_ = 0;
-    bool ok_ = true;
-};
 
 /** A fully decoded frame. */
 struct Frame
@@ -327,10 +261,10 @@ struct SimulateBatchRequest
 
 /**
  * SimulateBatchReply: one result per requested index, in request
- * order. Full mode carries complete SimResult records (the same 15
- * fixed fields the journal persists) so the dispatcher can merge them
- * into the study memo cache exactly as if simulated locally; SimPoint
- * mode carries only the calibrated IPC estimate.
+ * order. Full mode carries complete SimResult records
+ * (sim::putSimResult) so the dispatcher can merge them into the study
+ * memo cache exactly as if simulated locally; SimPoint mode carries
+ * only the calibrated IPC estimate.
  */
 struct SimulateBatchReply
 {

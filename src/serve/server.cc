@@ -73,7 +73,7 @@ setNonBlocking(int fd)
 size_t
 peekPointCount(const std::string &payload)
 {
-    WireReader r(payload);
+    util::WireReader r(payload);
     const uint32_t n = r.u32();
     return (r.ok() && n) ? n : 1;
 }

@@ -11,8 +11,11 @@
 #ifndef DSE_SIM_CONFIG_HH
 #define DSE_SIM_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "util/bytes.hh"
 
 namespace dse {
 namespace sim {
@@ -109,6 +112,20 @@ struct SimResult
     uint64_t branches = 0;
     uint64_t branchMispredicts = 0;
 };
+
+/**
+ * The SimResult record: the 15 fields above in declaration order, 8
+ * bytes each, doubles as their bit patterns. The journal and
+ * SimulateBatchReply both carry results in this one layout.
+ */
+constexpr size_t kSimResultBytes = 15 * 8;
+
+/** Append @p r as one kSimResultBytes record. */
+void putSimResult(util::WireWriter &w, const SimResult &r);
+
+/** Read one record written by putSimResult (zeros past the end; check
+ *  @p r.ok()). */
+SimResult getSimResult(util::WireReader &r);
 
 } // namespace sim
 } // namespace dse

@@ -3,11 +3,11 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "util/bytes.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
 #include "util/trace.hh"
@@ -44,144 +44,38 @@ struct JournalMetrics
 constexpr char kMagic[8] = {'D', 'S', 'E', 'J', 'R', 'N', 'L', '1'};
 constexpr uint32_t kVersion = 1;
 
-uint64_t
-fnv1a(const uint8_t *data, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint32_t
-getU32(const uint8_t *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-getU64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-void
-putDouble(std::vector<uint8_t> &out, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-double
-getDouble(const uint8_t *p)
-{
-    const uint64_t bits = getU64(p);
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::vector<uint8_t>
+std::string
 encodeHeader(StudyKind kind, const std::string &app, uint64_t trace_len)
 {
-    std::vector<uint8_t> out(kMagic, kMagic + sizeof(kMagic));
-    putU32(out, kVersion);
-    putU32(out, static_cast<uint32_t>(kind));
-    putU64(out, trace_len);
-    putU32(out, static_cast<uint32_t>(app.size()));
-    out.insert(out.end(), app.begin(), app.end());
-    putU64(out, fnv1a(out.data(), out.size()));
-    return out;
+    util::WireWriter w;
+    w.raw(kMagic, sizeof(kMagic));
+    w.u32(kVersion);
+    w.u32(static_cast<uint32_t>(kind));
+    w.u64(trace_len);
+    w.str(app);
+    w.u64(util::fnv1a64(w.bytes().data(), w.bytes().size()));
+    return w.take();
 }
 
-std::vector<uint8_t>
+std::string
 encodeRecord(uint64_t index, const sim::SimResult &r)
 {
-    std::vector<uint8_t> out;
-    out.reserve(SimJournal::kRecordSize);
-    putU64(out, index);
-    putU64(out, r.cycles);
-    putU64(out, r.instructions);
-    putDouble(out, r.ipc);
-    putDouble(out, r.l1dMissRate);
-    putDouble(out, r.l2MissRate);
-    putDouble(out, r.l1iMissRate);
-    putDouble(out, r.branchMispredictRate);
-    putU64(out, r.l1dAccesses);
-    putU64(out, r.l1dMisses);
-    putU64(out, r.l2Accesses);
-    putU64(out, r.l2Misses);
-    putU64(out, r.l1iAccesses);
-    putU64(out, r.l1iMisses);
-    putU64(out, r.branches);
-    putU64(out, r.branchMispredicts);
-    putU64(out, fnv1a(out.data(), out.size()));
-    return out;
+    util::WireWriter w;
+    w.reserve(SimJournal::kRecordSize);
+    w.u64(index);
+    sim::putSimResult(w, r);
+    w.u64(util::fnv1a64(w.bytes().data(), w.bytes().size()));
+    return w.take();
 }
 
+/** Decode one record; false when its checksum does not match. */
 bool
-decodeRecord(const uint8_t *p, uint64_t &index, sim::SimResult &r)
+decodeRecord(const char *p, uint64_t &index, sim::SimResult &r)
 {
-    if (fnv1a(p, SimJournal::kRecordSize - 8) !=
-        getU64(p + SimJournal::kRecordSize - 8)) {
-        return false;
-    }
-    index = getU64(p);
-    r.cycles = getU64(p + 8);
-    r.instructions = getU64(p + 16);
-    r.ipc = getDouble(p + 24);
-    r.l1dMissRate = getDouble(p + 32);
-    r.l2MissRate = getDouble(p + 40);
-    r.l1iMissRate = getDouble(p + 48);
-    r.branchMispredictRate = getDouble(p + 56);
-    r.l1dAccesses = getU64(p + 64);
-    r.l1dMisses = getU64(p + 72);
-    r.l2Accesses = getU64(p + 80);
-    r.l2Misses = getU64(p + 88);
-    r.l1iAccesses = getU64(p + 96);
-    r.l1iMisses = getU64(p + 104);
-    r.branches = getU64(p + 112);
-    r.branchMispredicts = getU64(p + 120);
-    return true;
-}
-
-void
-writeAll(int fd, const uint8_t *data, size_t n, const std::string &path)
-{
-    size_t done = 0;
-    while (done < n) {
-        const ssize_t w = ::write(fd, data + done, n - done);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            throw std::runtime_error("journal write failed: " + path +
-                                     ": " + std::strerror(errno));
-        }
-        done += static_cast<size_t>(w);
-    }
+    util::WireReader in(p, SimJournal::kRecordSize);
+    index = in.u64();
+    r = sim::getSimResult(in);
+    return in.u64() == util::fnv1a64(p, SimJournal::kRecordSize - 8);
 }
 
 } // namespace
@@ -202,13 +96,13 @@ SimJournal::SimJournal(std::string path, StudyKind kind,
         // Fresh journal: persist the identity header before any
         // record can refer to it.
         ::lseek(fd_, 0, SEEK_SET);
-        writeAll(fd_, header.data(), header.size(), path_);
+        util::writeAll(fd_, header.data(), header.size(), path_);
         ::fsync(fd_);
         replayed_ = true;  // nothing to replay
         return;
     }
 
-    std::vector<uint8_t> existing(header.size());
+    std::string existing(header.size(), '\0');
     ::lseek(fd_, 0, SEEK_SET);
     const ssize_t got = ::read(fd_, existing.data(), existing.size());
     if (got < static_cast<ssize_t>(sizeof(kMagic)) ||
@@ -248,11 +142,11 @@ SimJournal::replay(
     stats.tornTail = body % kRecordSize != 0;
 
     ::lseek(fd_, header_end, SEEK_SET);
-    std::vector<uint8_t> buf(kRecordSize);
+    char buf[kRecordSize];
     for (uint64_t n = 0; n < records; ++n) {
         ssize_t got = 0;
         while (got < static_cast<ssize_t>(kRecordSize)) {
-            const ssize_t r = ::read(fd_, buf.data() + got,
+            const ssize_t r = ::read(fd_, buf + got,
                                      kRecordSize - static_cast<size_t>(got));
             if (r < 0 && errno == EINTR)
                 continue;
@@ -264,7 +158,7 @@ SimJournal::replay(
         }
         uint64_t index;
         sim::SimResult result;
-        if (decodeRecord(buf.data(), index, result)) {
+        if (decodeRecord(buf, index, result)) {
             fn(index, result);
             ++stats.replayed;
         } else {
@@ -306,13 +200,13 @@ SimJournal::append(uint64_t index, const sim::SimResult &r)
     if (util::FaultInjector::global().shouldFail("journal", index)) {
         // Injected torn write: persist only half the record, exactly
         // what a crash mid-append leaves behind.
-        writeAll(fd_, record.data(), record.size() / 2, path_);
+        util::writeAll(fd_, record.data(), record.size() / 2, path_);
         ::fsync(fd_);
         throw std::runtime_error(
             "injected fault: journal append (torn write at index " +
             std::to_string(index) + ")");
     }
-    writeAll(fd_, record.data(), record.size(), path_);
+    util::writeAll(fd_, record.data(), record.size(), path_);
     if (::fsync(fd_) != 0) {
         throw std::runtime_error("journal fsync failed: " + path_ + ": " +
                                  std::strerror(errno));

@@ -11,15 +11,14 @@
  * to a fresh run: records carry the exact doubles the simulator
  * produced.
  *
- * Format (all integers little-endian, the only byte order this
- * library targets):
+ * Format (written through util/bytes.hh; DESIGN.md "Byte formats"):
  *
  *   header   "DSEJRNL1" | u32 version | u32 kind | u64 traceLen
  *            | u32 appLen | app bytes | u64 FNV-1a over the above
- *   record   u64 index | SimResult fields in declaration order
- *            (15 x 8 bytes) | u64 FNV-1a over the previous 128 bytes
+ *   record   u64 index | sim::putSimResult record
+ *            | u64 FNV-1a over the preceding record bytes
  *
- * Records are fixed-size (136 bytes), so replay can resynchronize
+ * Records are fixed-size (kRecordSize), so replay can resynchronize
  * past a checksum-corrupt record (the record is rejected, later ones
  * still load) and a truncated/torn tail is recognized by a short
  * read and truncated away before the next append. The header binds
@@ -83,7 +82,7 @@ class SimJournal
     const std::string &path() const { return path_; }
 
     /** Fixed on-disk record size in bytes (tests craft torn tails). */
-    static constexpr size_t kRecordSize = 136;
+    static constexpr size_t kRecordSize = 8 + sim::kSimResultBytes + 8;
 
   private:
     std::string path_;
@@ -91,6 +90,9 @@ class SimJournal
     std::mutex appendMu_;
     bool replayed_ = false;
 };
+
+static_assert(SimJournal::kRecordSize == 136,
+              "the journal record size is part of the on-disk format");
 
 } // namespace study
 } // namespace dse

@@ -31,6 +31,7 @@
 #include "ml/multitask.hh"
 #include "study/harness.hh"
 #include "study/journal.hh"
+#include "util/bytes.hh"
 #include "util/fault.hh"
 #include "util/stats.hh"
 #include "util/thread_pool.hh"
@@ -799,20 +800,6 @@ TEST_F(FaultsIo, AdversarialHeadersFailCleanly)
     expect_reject(good.substr(0, good.size() * 3 / 4));
 }
 
-/** FNV-1a over @p n bytes — must match the hash io.cc checksums
- *  model files with, so tests can forge a *valid* trailer around a
- *  tampered body. */
-uint64_t
-fnv1aHash(const char *data, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= static_cast<uint8_t>(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 TEST_F(FaultsIo, NegativePathsRaiseTheirOwnDocumentedErrors)
 {
     const auto model = smallTrainedEnsemble();
@@ -859,7 +846,7 @@ TEST_F(FaultsIo, NegativePathsRaiseTheirOwnDocumentedErrors)
         char trailer[32];
         std::snprintf(trailer, sizeof(trailer), "checksum %016llx\n",
                       static_cast<unsigned long long>(
-                          fnv1aHash(body.data(), body.size())));
+                          util::fnv1a64(body.data(), body.size())));
         EXPECT_NE(load_error(body + trailer).find("bad member count"),
                   std::string::npos);
     }

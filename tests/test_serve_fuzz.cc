@@ -200,8 +200,8 @@ TEST_F(ServeFuzz, OversizedDeclaredLengthIsRefusedBeforeBuffering)
     putLe(99, 8);                        // id
     putLe(serve::kDefaultMaxPayload + 1, 4);  // over the cap
     putLe(0, 4);                         // reserved
-    putLe(serve::fnv1a64("", 0), 8);     // payload checksum
-    putLe(serve::fnv1a64(header.data(), 32), 8);
+    putLe(util::fnv1a64("", 0), 8);      // payload checksum
+    putLe(util::fnv1a64(header.data(), 32), 8);
     ASSERT_EQ(header.size(), serve::kHeaderSize);
 
     auto client = attacker();
@@ -223,7 +223,7 @@ TEST_F(ServeFuzz, PointCountOverflowIsRejected)
     // 0 mod 2^64 and matches an empty remainder — the decode must
     // reject it outright instead of attempting a 2^61-element resize
     // (which would throw on a worker thread and kill the server).
-    serve::WireWriter w;
+    util::WireWriter w;
     w.u32(0x80000000u);  // n     = 2^31
     w.u32(0x40000000u);  // width = 2^30
     const std::string payload = w.take();
