@@ -78,6 +78,15 @@ decodeRecord(const char *p, uint64_t &index, sim::SimResult &r)
     return in.u64() == util::fnv1a64(p, SimJournal::kRecordSize - 8);
 }
 
+void
+fsyncOrThrow(int fd, const std::string &path)
+{
+    if (::fsync(fd) != 0) {
+        throw std::runtime_error("journal fsync failed: " + path + ": " +
+                                 std::strerror(errno));
+    }
+}
+
 } // namespace
 
 SimJournal::SimJournal(std::string path, StudyKind kind,
@@ -90,33 +99,35 @@ SimJournal::SimJournal(std::string path, StudyKind kind,
                                  std::strerror(errno));
     }
 
-    const auto header = encodeHeader(kind, app, trace_len);
-    const off_t size = ::lseek(fd_, 0, SEEK_END);
-    if (size == 0) {
-        // Fresh journal: persist the identity header before any
-        // record can refer to it.
-        ::lseek(fd_, 0, SEEK_SET);
-        util::writeAll(fd_, header.data(), header.size(), path_);
-        ::fsync(fd_);
-        replayed_ = true;  // nothing to replay
-        return;
-    }
+    // A constructor that throws never runs ~SimJournal, so every
+    // failure below closes the descriptor itself.
+    try {
+        const auto header = encodeHeader(kind, app, trace_len);
+        const off_t size = ::lseek(fd_, 0, SEEK_END);
+        if (size == 0) {
+            // Fresh journal: persist the identity header before any
+            // record can refer to it.
+            ::lseek(fd_, 0, SEEK_SET);
+            util::writeAll(fd_, header.data(), header.size(), path_);
+            fsyncOrThrow(fd_, path_);
+            replayed_ = true;  // nothing to replay
+            return;
+        }
 
-    std::string existing(header.size(), '\0');
-    ::lseek(fd_, 0, SEEK_SET);
-    const ssize_t got = ::read(fd_, existing.data(), existing.size());
-    if (got < static_cast<ssize_t>(sizeof(kMagic)) ||
-        std::memcmp(existing.data(), kMagic, sizeof(kMagic)) != 0) {
+        std::string existing(header.size(), '\0');
+        ::lseek(fd_, 0, SEEK_SET);
+        const ssize_t got = ::read(fd_, existing.data(), existing.size());
+        if (got < static_cast<ssize_t>(sizeof(kMagic)) ||
+            std::memcmp(existing.data(), kMagic, sizeof(kMagic)) != 0)
+            throw std::runtime_error("not a simulation journal: " + path_);
+        if (got != static_cast<ssize_t>(existing.size()) ||
+            existing != header) {
+            throw std::runtime_error(
+                "journal belongs to a different study/app/trace: " + path_);
+        }
+    } catch (...) {
         ::close(fd_);
-        fd_ = -1;
-        throw std::runtime_error("not a simulation journal: " + path_);
-    }
-    if (got != static_cast<ssize_t>(existing.size()) ||
-        existing != header) {
-        ::close(fd_);
-        fd_ = -1;
-        throw std::runtime_error(
-            "journal belongs to a different study/app/trace: " + path_);
+        throw;
     }
 }
 
@@ -207,10 +218,7 @@ SimJournal::append(uint64_t index, const sim::SimResult &r)
             std::to_string(index) + ")");
     }
     util::writeAll(fd_, record.data(), record.size(), path_);
-    if (::fsync(fd_) != 0) {
-        throw std::runtime_error("journal fsync failed: " + path_ + ": " +
-                                 std::strerror(errno));
-    }
+    fsyncOrThrow(fd_, path_);
     registry.add(jm.fsyncs);
 }
 

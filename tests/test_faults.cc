@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -278,6 +279,39 @@ TEST_F(FaultsJournal, RefusesForeignAndMismatchedFiles)
     EXPECT_THROW(study::StudyContext(study::StudyKind::MemorySystem,
                                      "gzip", kTraceLen * 2, path),
                  std::runtime_error);
+}
+
+/** Open descriptors of this process. */
+size_t
+openDescriptors()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+TEST_F(FaultsJournal, FailedHeaderWriteClosesItsDescriptor)
+{
+    // /dev/full opens, reads as empty (so it looks like a fresh
+    // journal) and fails every write with ENOSPC.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    const size_t before = openDescriptors();
+    for (int attempt = 0; attempt < 3; ++attempt) {
+        try {
+            study::SimJournal journal("/dev/full",
+                                      study::StudyKind::MemorySystem,
+                                      "gzip", kTraceLen);
+            FAIL() << "a journal on /dev/full must not open";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("/dev/full"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(openDescriptors(), before);
 }
 
 TEST_F(FaultsJournal, EnvVarAttachesWithPlaceholders)
