@@ -896,11 +896,9 @@ Server::handleOne(const Request &req)
                       "range reply would exceed the frame cap");
             return;
         }
-        std::vector<uint64_t> indices(range.count);
-        for (uint64_t i = 0; i < range.count; ++i)
-            indices[i] = range.first + i;
         PredictionsReply reply;
-        reply.y = state->ensemble->predictIndices(*state->space, indices);
+        reply.y = state->ensemble->predictRange(*state->space, range.first,
+                                                range.count);
         counters_.predictions.fetch_add(reply.y.size());
         obs::MetricsRegistry::global().add(
             ServeMetrics::get().predictions, reply.y.size());
