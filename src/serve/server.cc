@@ -983,6 +983,28 @@ Server::buildModelInfo() const
     return info.encode();
 }
 
+ml::Ensemble
+trainOneRound(study::StudyKind kind, const std::string &app, size_t maxSims,
+              int maxEpochs)
+{
+    study::StudyContext ctx(kind, app);
+    ml::ExplorerOptions eopts;
+    eopts.batchSize = std::max<size_t>(1, maxSims);
+    eopts.maxSimulations = maxSims;
+    eopts.targetMeanPct = 0.0;  // one full batch, then stop
+    eopts.train.maxEpochs = maxEpochs;
+    // Simulate the round as one parallel batch; the explorer's
+    // per-index calls then hit the memo cache. Simulation is pure, so
+    // the model is bit-identical to simulating point by point.
+    eopts.prefetch = [&](const std::vector<uint64_t> &batch) {
+        ctx.simulateBatch(batch);
+    };
+    ml::Explorer explorer(
+        ctx.space(), [&](uint64_t i) { return ctx.simulateIpc(i); }, eopts);
+    explorer.step();
+    return explorer.ensemble();
+}
+
 void
 Server::handleLoadModel(const Request &req)
 {
@@ -1025,19 +1047,10 @@ Server::handleLoadModel(const Request &req)
             // blocks one server worker for the whole run, so keep
             // wire-triggered budgets small; heavy training belongs in
             // dse_serve's startup path or dse_explore --save-model.
-            const auto kind = static_cast<study::StudyKind>(load.study);
-            study::StudyContext ctx(kind, load.app);
-            ml::ExplorerOptions eopts;
-            eopts.batchSize = std::max<size_t>(1, load.maxSims);
-            eopts.maxSimulations = load.maxSims;
-            eopts.targetMeanPct = 0.0;  // one full batch, then stop
-            eopts.train.maxEpochs = static_cast<int>(load.maxEpochs);
-            ml::Explorer explorer(
-                ctx.space(),
-                [&](uint64_t i) { return ctx.simulateIpc(i); }, eopts);
-            explorer.step();
             state.ensemble = std::make_shared<const ml::Ensemble>(
-                explorer.ensemble());
+                trainOneRound(static_cast<study::StudyKind>(load.study),
+                              load.app, load.maxSims,
+                              static_cast<int>(load.maxEpochs)));
         }
         setModel(std::move(state));
         sendReply(req.conn, MsgType::ModelLoaded, req.frame.id,

@@ -51,6 +51,7 @@
 #include "ml/cross_validation.hh"
 #include "ml/encoding.hh"
 #include "serve/protocol.hh"
+#include "study/spaces.hh"
 
 namespace dse {
 namespace serve {
@@ -112,6 +113,15 @@ struct ModelState
     std::string study;  ///< "" when no study attached
     std::string app;
 };
+
+/**
+ * Train a model on the spot: one explorer round over @p maxSims random
+ * points of (kind, app), simulated as one batch on the global pool,
+ * then one ensemble capped at @p maxEpochs per network. dse_serve
+ * --train and LoadModel with train=1 both serve what this returns.
+ */
+ml::Ensemble trainOneRound(study::StudyKind kind, const std::string &app,
+                           size_t maxSims, int maxEpochs);
 
 class Server
 {

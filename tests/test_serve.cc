@@ -22,9 +22,11 @@
 
 #include "ml/cross_validation.hh"
 #include "ml/encoding.hh"
+#include "ml/explorer.hh"
 #include "ml/io.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "study/harness.hh"
 #include "util/metrics.hh"
 
 namespace dse {
@@ -437,6 +439,51 @@ TEST(ServeModel, LoadModelByPathThenPredict)
 
     server.stop();
     std::remove(path.c_str());
+}
+
+TEST(ServeModel, LoadModelTrainsOnTheWireLikeALocalExplorer)
+{
+    constexpr uint32_t kSims = 16;
+    constexpr uint32_t kEpochs = 200;
+
+    serve::Server server(testOptions());
+    server.start();  // empty; the wire trains the model
+    auto client = connectTo(server);
+
+    serve::LoadModelRequest req;
+    req.hasStudy = true;
+    req.study = static_cast<uint8_t>(study::StudyKind::MemorySystem);
+    req.app = "gzip";
+    req.train = true;
+    req.maxSims = kSims;
+    req.maxEpochs = kEpochs;
+    const auto info = client.loadModel(req);  // throws unless ModelLoaded
+
+    // The same round trained here, without prefetch: every point is
+    // simulated by the explorer's own per-index calls.
+    study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip");
+    ml::ExplorerOptions eopts;
+    eopts.batchSize = kSims;
+    eopts.maxSimulations = kSims;
+    eopts.targetMeanPct = 0.0;
+    eopts.train.maxEpochs = kEpochs;
+    ml::Explorer explorer(
+        ctx.space(), [&](uint64_t i) { return ctx.simulateIpc(i); }, eopts);
+    ASSERT_TRUE(explorer.step().has_value());
+    const ml::Ensemble &local = explorer.ensemble();
+
+    EXPECT_EQ(info.members, local.members());
+    EXPECT_EQ(info.estMeanPct, local.estimate().meanPct);
+    EXPECT_EQ(info.estSdPct, local.estimate().sdPct);
+    EXPECT_EQ(info.spaceSize, ctx.space().size());
+
+    const uint64_t first = 1000, count = 257;
+    const auto remote = client.predictRange(first, count);
+    const auto expected = local.predictRange(ctx.space(), first, count);
+    ASSERT_EQ(remote.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(remote[i], expected[i]) << "index " << first + i;
+    server.stop();
 }
 
 } // namespace

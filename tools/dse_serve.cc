@@ -16,10 +16,9 @@
 #include <cstring>
 #include <string>
 
-#include "ml/explorer.hh"
 #include "ml/io.hh"
 #include "serve/server.hh"
-#include "study/harness.hh"
+#include "study/spaces.hh"
 #include "util/metrics.hh"
 
 using namespace dse;
@@ -180,18 +179,9 @@ run(int argc, char **argv)
         std::printf("training %s/%s (max %zu sims)...\n",
                     study::studyName(opts.kind), opts.app.c_str(),
                     opts.maxSims);
-        study::StudyContext ctx(opts.kind, opts.app);
-        ml::ExplorerOptions eopts;
-        eopts.batchSize = opts.maxSims;
-        eopts.maxSimulations = opts.maxSims;
-        eopts.targetMeanPct = 0.0;  // one full batch, then serve
-        eopts.train.maxEpochs = opts.maxEpochs;
-        ml::Explorer explorer(
-            ctx.space(), [&](uint64_t i) { return ctx.simulateIpc(i); },
-            eopts);
-        explorer.step();
         state.ensemble = std::make_shared<const ml::Ensemble>(
-            explorer.ensemble());
+            serve::trainOneRound(opts.kind, opts.app, opts.maxSims,
+                                 opts.maxEpochs));
         std::printf("trained: estimated error %.2f%% +- %.2f%%\n",
                     state.ensemble->estimate().meanPct,
                     state.ensemble->estimate().sdPct);
