@@ -484,12 +484,7 @@ Server::handleReadable(const std::shared_ptr<Conn> &conn)
         if (n == 0) {
             // Orderly EOF. Keep the connection only to flush replies
             // still owed for queued requests.
-            bool pending;
-            {
-                std::lock_guard<std::mutex> lock(conn->txMu);
-                pending = !conn->tx.empty();
-            }
-            if (pending || conn->inflight.load() > 0)
+            if (conn->owesReplies())
                 conn->draining = true;
             else
                 closeConn(conn);
@@ -621,9 +616,8 @@ Server::flushWritable(const std::shared_ptr<Conn> &conn)
     } else if (conn->writeBlockedSinceNs == 0) {
         conn->writeBlockedSinceNs = nowNs();
     }
-    const bool done = conn->tx.empty();
     lock.unlock();
-    if (done && conn->draining && conn->inflight.load() == 0)
+    if (conn->draining && !conn->owesReplies())
         closeConn(conn);
 }
 
@@ -649,11 +643,12 @@ Server::reapTimeouts(uint64_t now_ns)
             victims.push_back(conn);  // write timeout: wedged reader
             continue;
         }
-        if (conn->draining && tx_empty && conn->inflight.load() == 0) {
+        const bool owes = conn->owesReplies();
+        if (conn->draining && !owes) {
             victims.push_back(conn);
             continue;
         }
-        if (tx_empty && conn->inflight.load() == 0 && !conn->draining &&
+        if (!owes && !conn->draining &&
             now_ns - conn->lastActivityNs >
                 static_cast<uint64_t>(opts_.idleTimeoutMs) * 1000000ull) {
             victims.push_back(conn);  // idle reap

@@ -197,6 +197,19 @@ class Server
         uint64_t lastActivityNs = 0;
         uint64_t writeBlockedSinceNs = 0;  ///< 0 = outbox empty/progressing
         bool draining = false;  ///< close once tx flushes
+
+        /** True while a request is in flight or the outbox holds
+         *  bytes. inflight is read first: a worker appends its reply
+         *  before it drops inflight, so reading 0 and then an empty
+         *  outbox cannot miss a reply still on its way. */
+        bool
+        owesReplies()
+        {
+            if (inflight.load() > 0)
+                return true;
+            std::lock_guard<std::mutex> lock(txMu);
+            return !tx.empty();
+        }
     };
 
     struct Request
