@@ -1,6 +1,5 @@
 #include "util/bytes.hh"
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -9,29 +8,6 @@
 
 namespace dse {
 namespace util {
-
-namespace {
-
-void
-putLe(std::string &out, uint64_t v, size_t bytes)
-{
-    char le[8];
-    for (size_t i = 0; i < bytes; ++i)
-        le[i] = static_cast<char>(v >> (8 * i));
-    out.append(le, bytes);
-}
-
-uint64_t
-getLe(const char *p, size_t bytes)
-{
-    uint64_t v = 0;
-    for (size_t i = 0; i < bytes; ++i)
-        v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i]))
-            << (8 * i);
-    return v;
-}
-
-} // namespace
 
 uint64_t
 fnv1a64(const void *data, size_t n)
@@ -43,45 +19,6 @@ fnv1a64(const void *data, size_t n)
         h *= 1099511628211ull;
     }
     return h;
-}
-
-// ---------------------------------------------------------------- writer
-
-void
-WireWriter::u16(uint16_t v)
-{
-    putLe(buf_, v, 2);
-}
-
-void
-WireWriter::u32(uint32_t v)
-{
-    putLe(buf_, v, 4);
-}
-
-void
-WireWriter::u64(uint64_t v)
-{
-    putLe(buf_, v, 8);
-}
-
-void
-WireWriter::f64(double v)
-{
-    putLe(buf_, std::bit_cast<uint64_t>(v), 8);
-}
-
-void
-WireWriter::str(std::string_view s)
-{
-    u32(static_cast<uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-}
-
-void
-WireWriter::raw(const void *data, size_t n)
-{
-    buf_.append(static_cast<const char *>(data), n);
 }
 
 // ---------------------------------------------------------------- reader
@@ -96,40 +33,6 @@ WireReader::take(size_t n, const char **out)
     *out = p_ + off_;
     off_ += n;
     return true;
-}
-
-uint8_t
-WireReader::u8()
-{
-    const char *p;
-    return take(1, &p) ? static_cast<uint8_t>(getLe(p, 1)) : 0;
-}
-
-uint16_t
-WireReader::u16()
-{
-    const char *p;
-    return take(2, &p) ? static_cast<uint16_t>(getLe(p, 2)) : 0;
-}
-
-uint32_t
-WireReader::u32()
-{
-    const char *p;
-    return take(4, &p) ? static_cast<uint32_t>(getLe(p, 4)) : 0;
-}
-
-uint64_t
-WireReader::u64()
-{
-    const char *p;
-    return take(8, &p) ? getLe(p, 8) : 0;
-}
-
-double
-WireReader::f64()
-{
-    return std::bit_cast<double>(u64());
 }
 
 std::string
