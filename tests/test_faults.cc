@@ -4,7 +4,8 @@
  * in the study pipeline is exercised deterministically — journal
  * kill-and-resume replay, torn tails and corrupt records, fold
  * retry and graceful ensemble degradation, torn/corrupt model files,
- * and exception propagation out of the thread pool.
+ * and exception propagation out of the thread pool. The journal and
+ * model-file byte pins (DESIGN.md "Byte formats") live here too.
  *
  * Suites are named Faults* (the tsan preset filter matches them) and
  * the binary carries the `faults` ctest label, so `ctest -L faults`

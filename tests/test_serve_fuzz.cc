@@ -188,20 +188,16 @@ TEST_F(ServeFuzz, OversizedDeclaredLengthIsRefusedBeforeBuffering)
 {
     // Hand-build a header whose authentic checksum declares a payload
     // far over the cap: it must be refused from the header alone.
-    std::string header;
-    auto putLe = [&header](uint64_t v, size_t bytes) {
-        for (size_t i = 0; i < bytes; ++i)
-            header.push_back(
-                static_cast<char>((v >> (8 * i)) & 0xff));
-    };
-    putLe(serve::kMagic, 4);
-    putLe(serve::kProtocolVersion, 2);
-    putLe(static_cast<uint16_t>(serve::MsgType::PredictPoints), 2);
-    putLe(99, 8);                        // id
-    putLe(serve::kDefaultMaxPayload + 1, 4);  // over the cap
-    putLe(0, 4);                         // reserved
-    putLe(util::fnv1a64("", 0), 8);      // payload checksum
-    putLe(util::fnv1a64(header.data(), 32), 8);
+    util::WireWriter w;
+    w.u32(serve::kMagic);
+    w.u16(serve::kProtocolVersion);
+    w.u16(static_cast<uint16_t>(serve::MsgType::PredictPoints));
+    w.u64(99);                              // id
+    w.u32(serve::kDefaultMaxPayload + 1);   // over the cap
+    w.u32(0);                               // reserved
+    w.u64(util::fnv1a64("", 0));            // payload checksum
+    w.u64(util::fnv1a64(w.bytes().data(), 32));
+    const std::string header = w.take();
     ASSERT_EQ(header.size(), serve::kHeaderSize);
 
     auto client = attacker();
