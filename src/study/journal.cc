@@ -118,8 +118,9 @@ SimJournal::SimJournal(std::string path, StudyKind kind,
         ::lseek(fd_, 0, SEEK_SET);
         const ssize_t got = ::read(fd_, existing.data(), existing.size());
         if (got < static_cast<ssize_t>(sizeof(kMagic)) ||
-            std::memcmp(existing.data(), kMagic, sizeof(kMagic)) != 0)
+            std::memcmp(existing.data(), kMagic, sizeof(kMagic)) != 0) {
             throw std::runtime_error("not a simulation journal: " + path_);
+        }
         if (got != static_cast<ssize_t>(existing.size()) ||
             existing != header) {
             throw std::runtime_error(
