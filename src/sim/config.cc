@@ -1,5 +1,7 @@
 #include "sim/config.hh"
 
+#include "util/bytes.hh"
+
 namespace dse {
 namespace sim {
 

@@ -15,9 +15,12 @@
 #include <cstdint>
 #include <string>
 
-#include "util/bytes.hh"
-
 namespace dse {
+namespace util {
+class WireReader;
+class WireWriter;
+} // namespace util
+
 namespace sim {
 
 /** One cache's geometry and policy. */
