@@ -32,8 +32,14 @@ OK, USAGE, INVALID = 0, 1, 2
 CASES = [
     *[(OK, tool, ["--help"]) for tool in TOOLS],
     *[(USAGE, tool, ["--no-such-flag"]) for tool in TOOLS],
-    (USAGE, "dse_explore", ["--study=procesor"]),
-    (USAGE, "dse_serve", ["--study=procesor"]),
+    (USAGE, "dse_explore", ["--max-sims=abc"]),
+    (USAGE, "dse_explore", ["--max-sims=-5"]),
+    (USAGE, "dse_simulate", ["--index=x"]),
+    (USAGE, "dse_loadgen", ["--port=70000"]),
+    (USAGE, "dse_serve", ["--port=70000"]),
+    (USAGE, "dse_simworker", ["--threads=-1"]),
+    *[(USAGE, tool, ["--study=procesor"])
+      for tool in ["dse_explore", "dse_serve", "dse_simulate"]],
     (INVALID, "dse_explore", ["--app=nope"]),
     (INVALID, "dse_simulate", ["--app=nope"]),
 ]
@@ -42,6 +48,9 @@ CASES = [
 EXPLORE = ["--study=memory", "--app=mcf", "--batch=20", "--max-sims=40",
            "--max-epochs=100", "--target-error=0.1"]
 
+# A case that should be refused but runs as a daemon is cut after
+# CASE_TIMEOUT_S.
+CASE_TIMEOUT_S = 30
 DAEMON_START_S = 60
 TIMEOUT_S = 120
 
@@ -58,10 +67,10 @@ class Tools:
     def path(self, tool):
         return os.path.join(self.bindir, tool)
 
-    def run(self, tool, args):
+    def run(self, tool, args, timeout=TIMEOUT_S):
         return subprocess.run([self.path(tool), *args], env=self.env,
                               capture_output=True, text=True,
-                              timeout=TIMEOUT_S)
+                              timeout=timeout)
 
     def fail(self, what, proc_or_detail):
         detail = proc_or_detail
@@ -70,11 +79,15 @@ class Tools:
                                       proc_or_detail.stderr.strip()[-300:])
         self.failures.append("%s: %s" % (what, detail))
 
-    def expect(self, code, tool, args):
-        proc = self.run(tool, args)
+    def expect(self, code, tool, args, timeout=TIMEOUT_S):
+        what = "%s %s (want exit %d)" % (tool, " ".join(args), code)
+        try:
+            proc = self.run(tool, args, timeout)
+        except subprocess.TimeoutExpired:
+            self.fail(what, "still running after %d s" % timeout)
+            return None
         if proc.returncode != code:
-            self.fail("%s %s (want exit %d)" % (tool, " ".join(args), code),
-                      proc)
+            self.fail(what, proc)
         return proc
 
     def start_daemon(self, tool, port_file, args):
@@ -140,6 +153,8 @@ def check_remote_matches_local(tools, scratch):
             OK, "dse_explore", EXPLORE + ["--workers=127.0.0.1:%d" % port])
     finally:
         tools.stop_daemon("dse_simworker", worker)
+    if local is None or remote is None:
+        return  # the timeout is already recorded
     if not estimates(local.stdout):
         tools.fail("dse_explore", "no per-round estimates printed")
     elif estimates(remote.stdout) != estimates(local.stdout):
@@ -157,7 +172,7 @@ def main():
         return 2
     tools = Tools(sys.argv[1])
     for code, tool, args in CASES:
-        tools.expect(code, tool, args)
+        tools.expect(code, tool, args, CASE_TIMEOUT_S)
     with tempfile.TemporaryDirectory() as scratch:
         check_serve_and_loadgen(tools, scratch)
         check_remote_matches_local(tools, scratch)

@@ -15,18 +15,15 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "ml/explorer.hh"
 #include "ml/io.hh"
 #include "remote/dispatcher.hh"
 #include "study/harness.hh"
-#include "util/metrics.hh"
 #include "workload/profile.hh"
 
 using namespace dse;
@@ -48,109 +45,30 @@ struct Options
     std::string loadModel;
     std::vector<uint64_t> predictIndices;
     int maxEpochs = 5000;
-    bool metrics = false;
-    std::string metricsPath;  ///< empty = table on stdout
-    std::string workers;      ///< host:port,... (also DSE_WORKERS)
+    cli::Metrics metrics;
+    std::string workers;  ///< host:port,... (also DSE_WORKERS)
 };
 
-void
-usage()
-{
-    std::puts(
-        "usage: dse_explore [options]\n"
-        "  --study=memory|processor   design space (default processor)\n"
-        "  --app=<name>               benchmark (default gzip)\n"
-        "  --target-error=<pct>       stop threshold (default 2.0)\n"
-        "  --batch=<n>                sims per round (default 50)\n"
-        "  --max-sims=<n>             simulation cap (default 1000)\n"
-        "  --max-epochs=<n>           per-network budget (default 5000)\n"
-        "  --simpoint                 train on SimPoint estimates\n"
-        "  --active                   active-learning sampling\n"
-        "  --save-model=<path>        write the trained ensemble\n"
-        "  --load-model=<path>        skip training, load a model\n"
-        "  --predict=<index>          predict a design point (repeat)\n"
-        "  --workers=<host:port,...>  remote simulation workers\n"
-        "                             (default $DSE_WORKERS; failures\n"
-        "                             fall back to local simulation)\n"
-        "  --describe-space           print the space and exit\n"
-        "  --list-apps                print benchmark names and exit\n"
-        "  --metrics[=path]           collect dse::obs metrics; print a\n"
-        "                             table, or write JSON to <path>\n"
-        "exit codes: 0 ok, 1 bad usage, 2 invalid input (unknown app/\n"
-        "index/model contents), 3 runtime or I/O failure, 4 internal");
-}
-
-bool
-parseArg(const char *arg, const char *name, std::string &out)
-{
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        out = arg + len + 1;
-        return true;
-    }
-    return false;
-}
-
-bool
-parse(int argc, char **argv, Options &opts)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string value;
-        const char *arg = argv[i];
-        if (parseArg(arg, "--study", value)) {
-            if (value == "memory" || value == "memory-system") {
-                opts.kind = study::StudyKind::MemorySystem;
-            } else if (value == "processor") {
-                opts.kind = study::StudyKind::Processor;
-            } else {
-                std::fprintf(stderr, "unknown study '%s'\n",
-                             value.c_str());
-                return false;
-            }
-        } else if (parseArg(arg, "--app", value)) {
-            opts.app = value;
-        } else if (parseArg(arg, "--target-error", value)) {
-            opts.targetError = std::atof(value.c_str());
-        } else if (parseArg(arg, "--batch", value)) {
-            opts.batch = static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--max-sims", value)) {
-            opts.maxSims =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--max-epochs", value)) {
-            opts.maxEpochs = std::atoi(value.c_str());
-        } else if (parseArg(arg, "--save-model", value)) {
-            opts.saveModel = value;
-        } else if (parseArg(arg, "--load-model", value)) {
-            opts.loadModel = value;
-        } else if (parseArg(arg, "--predict", value)) {
-            opts.predictIndices.push_back(
-                static_cast<uint64_t>(std::atoll(value.c_str())));
-        } else if (parseArg(arg, "--workers", value)) {
-            opts.workers = value;
-        } else if (std::strcmp(arg, "--metrics") == 0) {
-            opts.metrics = true;
-        } else if (parseArg(arg, "--metrics", value)) {
-            opts.metrics = true;
-            opts.metricsPath = value;
-        } else if (std::strcmp(arg, "--simpoint") == 0) {
-            opts.simpoint = true;
-        } else if (std::strcmp(arg, "--active") == 0) {
-            opts.active = true;
-        } else if (std::strcmp(arg, "--describe-space") == 0) {
-            opts.describeSpace = true;
-        } else if (std::strcmp(arg, "--list-apps") == 0) {
-            opts.listApps = true;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            usage();
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg);
-            return false;
-        }
-    }
-    return true;
-}
+const char *const kUsage =
+    "usage: dse_explore [options]\n"
+    "  --study=memory|processor   design space (default processor)\n"
+    "  --app=<name>               benchmark (default gzip)\n"
+    "  --target-error=<pct>       stop threshold (default 2.0)\n"
+    "  --batch=<n>                sims per round (default 50)\n"
+    "  --max-sims=<n>             simulation cap (default 1000)\n"
+    "  --max-epochs=<n>           per-network budget (default 5000)\n"
+    "  --simpoint                 train on SimPoint estimates\n"
+    "  --active                   active-learning sampling\n"
+    "  --save-model=<path>        write the trained ensemble\n"
+    "  --load-model=<path>        skip training, load a model\n"
+    "  --predict=<index>          predict a design point (repeat)\n"
+    "  --workers=<host:port,...>  remote simulation workers\n"
+    "                             (default $DSE_WORKERS; failures\n"
+    "                             fall back to local simulation)\n"
+    "  --describe-space           print the space and exit\n"
+    "  --list-apps                print benchmark names and exit\n"
+    "  --metrics[=path]           collect dse::obs metrics; print a\n"
+    "                             table, or write JSON to <path>";
 
 void
 describeSpace(const ml::DesignSpace &space)
@@ -201,17 +119,8 @@ printPoint(study::StudyContext &ctx, const ml::Ensemble &model,
 }
 
 int
-run(int argc, char **argv)
+explore(const Options &opts)
 {
-    Options opts;
-    if (!parse(argc, argv, opts)) {
-        usage();
-        return 1;
-    }
-
-    if (opts.metrics)
-        obs::setMetricsEnabled(true);
-
     if (opts.listApps) {
         for (const auto &name : workload::benchmarkNames())
             std::puts(name.c_str());
@@ -307,8 +216,7 @@ run(int argc, char **argv)
     for (uint64_t idx : opts.predictIndices)
         printPoint(ctx, *model, idx);
 
-    if (opts.metrics)
-        obs::reportGlobalMetrics(opts.metricsPath);
+    opts.metrics.report();
     return 0;
 }
 
@@ -317,20 +225,22 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Every failure surfaces as one actionable line and a distinct
-    // exit code (see usage()) — never an uncaught std::runtime_error
-    // aborting with a core dump mid-campaign.
-    try {
-        return run(argc, argv);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "dse_explore: invalid input: %s\n",
-                     e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "dse_explore: error: %s\n", e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr, "dse_explore: unknown fatal error\n");
-        return 4;
-    }
+    Options opts;
+    cli::Command cmd("dse_explore", kUsage);
+    cmd.value("--study", opts.kind)
+        .value("--app", opts.app)
+        .value("--target-error", opts.targetError)
+        .value("--batch", opts.batch)
+        .value("--max-sims", opts.maxSims)
+        .value("--max-epochs", opts.maxEpochs)
+        .value("--save-model", opts.saveModel)
+        .value("--load-model", opts.loadModel)
+        .value("--predict", opts.predictIndices)
+        .value("--workers", opts.workers)
+        .flag("--simpoint", opts.simpoint)
+        .flag("--active", opts.active)
+        .flag("--describe-space", opts.describeSpace)
+        .flag("--list-apps", opts.listApps)
+        .metrics(opts.metrics);
+    return cmd.run(argc, argv, [&] { return explore(opts); });
 }

@@ -17,12 +17,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.hh"
 #include "serve/client.hh"
 
 using namespace dse;
@@ -43,78 +42,19 @@ struct Options
     std::string jsonPath;
 };
 
-void
-usage()
-{
-    std::puts(
-        "usage: dse_loadgen [options]\n"
-        "  --host=<ip>           server address (default 127.0.0.1)\n"
-        "  --port=<n>            server port\n"
-        "  --port-file=<path>    read the port from a file (dse_serve\n"
-        "                        --port-file)\n"
-        "  --connections=<n>     concurrent client connections (4)\n"
-        "  --requests=<n>        requests per connection (2000)\n"
-        "  --points=<n>          points per PredictPoints request (1)\n"
-        "  --range=<n>           use PredictRange of this count instead\n"
-        "  --duration=<sec>      run for a fixed time instead of a\n"
-        "                        fixed request count\n"
-        "  --json=<path>         write a benchmark-format JSON report\n"
-        "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime\n"
-        "failure, 4 internal");
-}
-
-bool
-parseArg(const char *arg, const char *name, std::string &out)
-{
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        out = arg + len + 1;
-        return true;
-    }
-    return false;
-}
-
-bool
-parse(int argc, char **argv, Options &opts)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string value;
-        const char *arg = argv[i];
-        if (parseArg(arg, "--host", value)) {
-            opts.host = value;
-        } else if (parseArg(arg, "--port", value)) {
-            opts.port = static_cast<uint16_t>(std::atoi(value.c_str()));
-        } else if (parseArg(arg, "--port-file", value)) {
-            opts.portFile = value;
-        } else if (parseArg(arg, "--connections", value)) {
-            opts.connections =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--requests", value)) {
-            opts.requests =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--points", value)) {
-            opts.points = static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--range", value)) {
-            opts.range = static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--duration", value)) {
-            opts.durationS = std::atof(value.c_str());
-        } else if (parseArg(arg, "--json", value)) {
-            opts.jsonPath = value;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            usage();
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "unknown argument '%s'\n", arg);
-            return false;
-        }
-    }
-    if (opts.connections == 0 || opts.points == 0) {
-        std::fprintf(stderr, "--connections/--points must be > 0\n");
-        return false;
-    }
-    return true;
-}
+const char *const kUsage =
+    "usage: dse_loadgen [options]\n"
+    "  --host=<ip>           server address (default 127.0.0.1)\n"
+    "  --port=<n>            server port\n"
+    "  --port-file=<path>    read the port from a file (dse_serve\n"
+    "                        --port-file)\n"
+    "  --connections=<n>     concurrent client connections (4)\n"
+    "  --requests=<n>        requests per connection (2000)\n"
+    "  --points=<n>          points per PredictPoints request (1)\n"
+    "  --range=<n>           use PredictRange of this count instead\n"
+    "  --duration=<sec>      run for a fixed time instead of a\n"
+    "                        fixed request count\n"
+    "  --json=<path>         write a benchmark-format JSON report";
 
 struct WorkerResult
 {
@@ -143,13 +83,10 @@ percentile(std::vector<uint64_t> &sorted, double p)
 }
 
 int
-run(int argc, char **argv)
+generateLoad(Options opts)
 {
-    Options opts;
-    if (!parse(argc, argv, opts)) {
-        usage();
-        return 1;
-    }
+    if (opts.connections == 0 || opts.points == 0)
+        throw cli::UsageError("--connections/--points must be > 0");
     if (!opts.portFile.empty()) {
         FILE *f = std::fopen(opts.portFile.c_str(), "r");
         if (!f)
@@ -403,17 +340,16 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "dse_loadgen: invalid input: %s\n",
-                     e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "dse_loadgen: error: %s\n", e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr, "dse_loadgen: unknown fatal error\n");
-        return 4;
-    }
+    Options opts;
+    cli::Command cmd("dse_loadgen", kUsage);
+    cmd.value("--host", opts.host)
+        .value("--port", opts.port)
+        .value("--port-file", opts.portFile)
+        .value("--connections", opts.connections)
+        .value("--requests", opts.requests)
+        .value("--points", opts.points)
+        .value("--range", opts.range)
+        .value("--duration", opts.durationS)
+        .value("--json", opts.jsonPath);
+    return cmd.run(argc, argv, [&] { return generateLoad(opts); });
 }

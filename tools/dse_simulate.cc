@@ -12,35 +12,38 @@
  *   dse_simulate --study=memory --app=twolf --simpoint --index=7
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "cli.hh"
 #include "study/harness.hh"
-#include "util/metrics.hh"
-#include "util/table.hh"
 
 using namespace dse;
 
 namespace {
 
-void
-usage()
+struct Options
 {
-    std::puts(
-        "usage: dse_simulate [--study=memory|processor] [--app=<name>]\n"
-        "               [--index=<n> | Param=value ...] [--simpoint]\n"
-        "               [--metrics[=path]]\n"
-        "Runs one detailed simulation and prints its statistics.\n"
-        "--metrics collects dse::obs metrics and prints them as a\n"
-        "table (or writes JSON to <path>) before exiting.\n"
-        "Param=value entries override the space's middle point; use\n"
-        "dse_explore --describe-space for names and levels.\n"
-        "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime\n"
-        "or I/O failure, 4 internal");
-}
+    study::StudyKind kind = study::StudyKind::MemorySystem;
+    std::string app = "gzip";
+    bool simpoint = false;
+    std::optional<uint64_t> index;
+    std::vector<std::string> overrides;  ///< Param=value
+    cli::Metrics metrics;
+};
+
+const char *const kUsage =
+    "usage: dse_simulate [--study=memory|processor] [--app=<name>]\n"
+    "               [--index=<n> | Param=value ...] [--simpoint]\n"
+    "               [--metrics[=path]]\n"
+    "Runs one detailed simulation and prints its statistics.\n"
+    "--metrics collects dse::obs metrics and prints them as a\n"
+    "table (or writes JSON to <path>) before exiting.\n"
+    "Param=value entries override the space's middle point; use\n"
+    "dse_explore --describe-space for names and levels.";
 
 int
 levelOfValue(const ml::DesignSpace &space, size_t p,
@@ -53,7 +56,7 @@ levelOfValue(const ml::DesignSpace &space, size_t p,
                 return l;
         }
     } else {
-        const double v = std::atof(value.c_str());
+        const double v = cli::parseNumber<double>(desc.name, value);
         for (int l = 0; l < desc.numLevels(); ++l) {
             if (desc.values[static_cast<size_t>(l)] == v)
                 return l;
@@ -62,86 +65,47 @@ levelOfValue(const ml::DesignSpace &space, size_t p,
     return -1;
 }
 
-int
-run(int argc, char **argv)
+/** The design point: --index, or the middle point with overrides. */
+uint64_t
+designPoint(const ml::DesignSpace &space, const Options &opts)
 {
-    study::StudyKind kind = study::StudyKind::MemorySystem;
-    std::string app = "gzip";
-    bool use_simpoint = false;
-    bool have_index = false;
-    bool metrics = false;
-    std::string metrics_path;
-    uint64_t index = 0;
-    std::vector<std::pair<std::string, std::string>> overrides;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--study=", 0) == 0) {
-            const std::string v = arg.substr(8);
-            kind = (v == "processor") ? study::StudyKind::Processor
-                                      : study::StudyKind::MemorySystem;
-        } else if (arg.rfind("--app=", 0) == 0) {
-            app = arg.substr(6);
-        } else if (arg.rfind("--index=", 0) == 0) {
-            index = static_cast<uint64_t>(
-                std::atoll(arg.c_str() + 8));
-            have_index = true;
-        } else if (arg == "--simpoint") {
-            use_simpoint = true;
-        } else if (arg == "--metrics") {
-            metrics = true;
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            metrics = true;
-            metrics_path = arg.substr(10);
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg.find('=') != std::string::npos) {
-            const auto eq = arg.find('=');
-            overrides.emplace_back(arg.substr(0, eq),
-                                   arg.substr(eq + 1));
-        } else {
-            std::fprintf(stderr, "unknown argument '%s'\n",
-                         arg.c_str());
-            usage();
-            return 1;
+    if (opts.index)
+        return *opts.index;
+    std::vector<int> lv(space.numParams());
+    for (size_t p = 0; p < space.numParams(); ++p)
+        lv[p] = space.param(p).numLevels() / 2;
+    for (const auto &arg : opts.overrides) {
+        const auto eq = arg.find('=');
+        if (eq == std::string::npos)
+            throw cli::UsageError("expected Param=value, got '" + arg +
+                                  "'");
+        const std::string name = arg.substr(0, eq);
+        const std::string value = arg.substr(eq + 1);
+        size_t p;
+        try {
+            p = space.paramIndex(name);
+        } catch (const std::exception &) {
+            throw cli::UsageError("unknown parameter '" + name + "'");
         }
+        const int level = levelOfValue(space, p, value);
+        if (level < 0)
+            throw cli::UsageError("'" + value + "' is not a level of " +
+                                  name);
+        lv[p] = level;
     }
+    return space.index(lv);
+}
 
-    if (metrics)
-        obs::setMetricsEnabled(true);
-
-    study::StudyContext ctx(kind, app);
+int
+simulate(const Options &opts)
+{
+    study::StudyContext ctx(opts.kind, opts.app);
     const auto &space = ctx.space();
-
-    if (!have_index) {
-        std::vector<int> lv(space.numParams());
-        for (size_t p = 0; p < space.numParams(); ++p)
-            lv[p] = space.param(p).numLevels() / 2;
-        for (const auto &[name, value] : overrides) {
-            size_t p;
-            try {
-                p = space.paramIndex(name);
-            } catch (const std::exception &) {
-                std::fprintf(stderr, "unknown parameter '%s'\n",
-                             name.c_str());
-                return 1;
-            }
-            const int level = levelOfValue(space, p, value);
-            if (level < 0) {
-                std::fprintf(stderr,
-                             "'%s' is not a level of %s\n",
-                             value.c_str(), name.c_str());
-                return 1;
-            }
-            lv[p] = level;
-        }
-        index = space.index(lv);
-    }
+    const uint64_t index = designPoint(space, opts);
 
     const auto lv = space.levels(index);
     std::printf("%s / %s, design point %llu:\n",
-                study::studyName(kind), app.c_str(),
+                study::studyName(opts.kind), opts.app.c_str(),
                 static_cast<unsigned long long>(index));
     for (size_t p = 0; p < space.numParams(); ++p) {
         if (space.param(p).kind == ml::ParamKind::Nominal) {
@@ -172,7 +136,7 @@ run(int argc, char **argv)
                 static_cast<unsigned long long>(r.branchMispredicts),
                 static_cast<unsigned long long>(r.branches));
 
-    if (use_simpoint) {
+    if (opts.simpoint) {
         const double est = ctx.simulateSimPointIpc(index);
         std::printf("\nSimPoint estimate %.4f (%.2f%% off, %zu of %zu "
                     "instructions detailed)\n",
@@ -181,9 +145,9 @@ run(int argc, char **argv)
                     ctx.trace().size());
     }
 
-    if (metrics) {
+    if (opts.metrics.on) {
         std::printf("\n");
-        obs::reportGlobalMetrics(metrics_path);
+        opts.metrics.report();
     }
     return 0;
 }
@@ -193,18 +157,13 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // One actionable line and a distinct exit code per failure class;
-    // an unknown benchmark or an unreadable journal must not abort.
-    try {
-        return run(argc, argv);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "dse_simulate: invalid input: %s\n", e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "dse_simulate: error: %s\n", e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr, "dse_simulate: unknown fatal error\n");
-        return 4;
-    }
+    Options opts;
+    cli::Command cmd("dse_simulate", kUsage);
+    cmd.value("--study", opts.kind)
+        .value("--app", opts.app)
+        .value("--index", opts.index)
+        .flag("--simpoint", opts.simpoint)
+        .metrics(opts.metrics)
+        .operands(opts.overrides);
+    return cmd.run(argc, argv, [&] { return simulate(opts); });
 }
