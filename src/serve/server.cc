@@ -426,6 +426,9 @@ Server::acceptPending()
             continue;
         }
         if (conns_.size() >= opts_.maxConnections) {
+            counters_.overloaded.fetch_add(1);
+            obs::MetricsRegistry::global().add(
+                ServeMetrics::get().overloaded);
             // Best-effort structured refusal, then close: the frame
             // is small enough to fit any socket buffer.
             const std::string frame = encodeFrame(
@@ -436,7 +439,6 @@ Server::acceptPending()
             [[maybe_unused]] ssize_t r =
                 send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
             close(fd);
-            counters_.overloaded.fetch_add(1);
             continue;
         }
         setNonBlocking(fd);

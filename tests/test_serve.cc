@@ -369,6 +369,36 @@ TEST(ServeStats, ObsMetricsMirrorServerCounters)
     obs::MetricsRegistry::global().reset();
 }
 
+TEST(ServeStats, ConnectionLimitRefusalsCountAsOverloaded)
+{
+    obs::MetricsRegistry::global().reset();
+    obs::setMetricsEnabled(true);
+
+    auto opts = testOptions();
+    opts.maxConnections = 1;
+    serve::Server server(opts);
+    server.setModel(tinyModel());
+    server.start();
+    auto first = connectTo(server);
+    first.modelInfo();  // the one allowed connection is accepted
+
+    auto second = connectTo(server);
+    auto frame = second.recvFrame();
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->type, serve::MsgType::Error);
+    serve::ErrorReply err;
+    ASSERT_TRUE(serve::ErrorReply::decode(frame->payload, err));
+    EXPECT_EQ(err.code, serve::ErrCode::Overloaded);
+    server.stop();
+    obs::setMetricsEnabled(false);
+
+    EXPECT_EQ(server.statsSnapshot().overloaded, 1u);
+    EXPECT_EQ(obs::MetricsRegistry::global().snapshot().counter(
+                  "serve.overloaded"),
+              1u);
+    obs::MetricsRegistry::global().reset();
+}
+
 TEST(ServeErrors, StructuredErrorsKeepTheConnectionAlive)
 {
     serve::Server server(testOptions());
