@@ -320,7 +320,8 @@ Client::predictRange(uint64_t first, uint64_t count)
         MsgType::PredictRange, PredictRangeRequest{first, count}.encode());
     const Frame reply = expectReply(id, MsgType::Predictions);
     PredictionsReply pred;
-    if (!PredictionsReply::decode(reply.payload, pred))
+    if (!PredictionsReply::decode(reply.payload, pred) ||
+        pred.y.size() != count)
         transportError("undecodable Predictions reply");
     return std::move(pred.y);
 }

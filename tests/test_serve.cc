@@ -12,6 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -439,6 +444,64 @@ TEST(ServeErrors, StructuredErrorsKeepTheConnectionAlive)
     const auto y = client.predictPoints(x, 1, 3);
     EXPECT_EQ(y.size(), 1u);
     server.stop();
+}
+
+TEST(ServeErrors, PredictRangeRejectsAReplyOfTheWrongLength)
+{
+    // A peer no real server imitates: it answers the first request
+    // with a one-element Predictions frame, whatever was asked.
+    const int listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listenFd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(listenFd, reinterpret_cast<sockaddr *>(&addr), len),
+              0);
+    ASSERT_EQ(::listen(listenFd, 1), 0);
+    ASSERT_EQ(::getsockname(listenFd, reinterpret_cast<sockaddr *>(&addr),
+                            &len),
+              0);
+    std::thread peer([listenFd] {
+        const int fd = ::accept(listenFd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        std::string in;
+        char buf[4096];
+        serve::Frame request;
+        size_t consumed = 0;
+        ssize_t n = 1;
+        while (n > 0 &&
+               serve::decodeFrame(in.data(), in.size(),
+                                  serve::kDefaultMaxPayload, request,
+                                  consumed) != serve::DecodeStatus::Frame) {
+            n = ::read(fd, buf, sizeof(buf));
+            if (n > 0)
+                in.append(buf, static_cast<size_t>(n));
+        }
+        const std::string reply = serve::encodeFrame(
+            serve::MsgType::Predictions, request.id,
+            serve::PredictionsReply{{0.5}}.encode());
+        if (n > 0 &&
+            ::write(fd, reply.data(), reply.size()) ==
+                static_cast<ssize_t>(reply.size())) {
+            while (::read(fd, buf, sizeof(buf)) > 0) {
+            }  // hold the connection until the client closes it
+        }
+        ::close(fd);
+    });
+
+    try {
+        serve::Client client;
+        client.setTimeout(20000);
+        client.connect("127.0.0.1", ntohs(addr.sin_port));
+        EXPECT_THROW(client.predictRange(0, 4), serve::ServeError);
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << e.what();  // still join the peer below
+    }
+    ::shutdown(listenFd, SHUT_RDWR);  // unblocks accept() if never hit
+    peer.join();
+    ::close(listenFd);
 }
 
 TEST(ServeModel, LoadModelByPathThenPredict)
