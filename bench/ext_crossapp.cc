@@ -89,7 +89,7 @@ smartsVsSimPoint(const std::string &app, size_t trace_length)
                             trace_length);
     // Match budgets: SMARTS cadence chosen so both simulate a similar
     // number of detailed instructions.
-    const size_t sp_instr = ctx.simPointInstructionsPerEstimate();
+    const size_t sp_instr = ctx.simPoints().detailedInstructions();
     simpoint::SmartsOptions smarts;
     smarts.unitInstructions =
         std::max<size_t>(256, ctx.trace().size() / 64);

@@ -39,7 +39,7 @@ main()
             static_cast<double>(ctx.space().size()) *
             static_cast<double>(ctx.instructionsPerSimulation());
         const double per_estimate = static_cast<double>(
-            ctx.simPointInstructionsPerEstimate());
+            ctx.simPoints().detailedInstructions());
 
         // Report three achieved error levels: the best point, and
         // ~1.5x / ~2.5x that error (mirroring the paper's three

@@ -35,7 +35,7 @@ main()
         // instructions per SimPoint estimate.
         const double simpoint_x =
             static_cast<double>(ctx.instructionsPerSimulation()) /
-            static_cast<double>(ctx.simPointInstructionsPerEstimate());
+            static_cast<double>(ctx.simPoints().detailedInstructions());
 
         double best = 1e9;
         for (const auto &p : curve)

@@ -94,9 +94,7 @@ estimateIpc(const workload::Trace &trace, const sim::MachineConfig &cfg,
         opts.begin = interval * points.intervalLength;
         opts.end = opts.begin + points.intervalLength;
         opts.warmCaches = true;  // same steady state as full runs
-        // Detailed warming: half an interval of pre-roll drains the
-        // pipeline-fill transient out of the measurement.
-        opts.detailedWarmup = points.intervalLength / 2;
+        opts.detailedWarmup = points.detailedWarmup();
         runs.push_back(opts);
     }
     const auto results = sim::simulateIntervals(trace, cfg, runs, warm);
@@ -109,10 +107,9 @@ estimateIpc(const workload::Trace &trace, const sim::MachineConfig &cfg,
     for (size_t i = 0; i < runs.size(); ++i) {
         weighted_cpi += points.weights[i] / std::max(results[i].ipc, 1e-9);
         total_weight += points.weights[i];
-        est.instructionsSimulated +=
-            points.intervalLength + runs[i].detailedWarmup;
     }
     est.ipc = total_weight / weighted_cpi;
+    est.instructionsSimulated = points.detailedInstructions();
     return est;
 }
 

@@ -35,11 +35,21 @@ struct SimPoints
     std::vector<size_t> intervals;   ///< representative interval index
     std::vector<double> weights;     ///< cluster population fractions
 
-    /** Instructions simulated in detail per estimate. */
+    /** Detailed pre-roll each representative runs before its
+     *  interval is measured: half an interval drains the
+     *  pipeline-fill transient out of the measurement. */
+    size_t
+    detailedWarmup() const
+    {
+        return intervalLength / 2;
+    }
+
+    /** Instructions simulated in detail per estimate (estimateIpc):
+     *  each representative's interval plus its detailed warm-up. */
     size_t
     detailedInstructions() const
     {
-        return intervals.size() * intervalLength;
+        return intervals.size() * (intervalLength + detailedWarmup());
     }
 };
 

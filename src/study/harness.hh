@@ -172,16 +172,6 @@ class StudyContext
      */
     double simulateSimPointIpc(uint64_t index);
 
-    /** Detailed instructions per SimPoint estimate (including the
-     *  half-interval detailed warm-up each representative pays). */
-    size_t
-    simPointInstructionsPerEstimate()
-    {
-        const auto &sp = simPoints();
-        return sp.intervals.size() *
-            (sp.intervalLength + sp.intervalLength / 2);
-    }
-
   private:
     /** Mutex-sharded memoization map (values are never mutated after
      *  insertion, and unordered_map never invalidates references, so

@@ -208,7 +208,7 @@ TEST_P(SimPointTest, EstimateTracksFullSimulation)
     // ballpark (the paper's point is that the ANN absorbs this).
     EXPECT_LT(percentageError(est.ipc, full.ipc), 45.0) << GetParam();
     // Cost includes the detailed warm-up prefix per interval.
-    EXPECT_GE(est.instructionsSimulated, points.detailedInstructions());
+    EXPECT_EQ(est.instructionsSimulated, points.detailedInstructions());
 }
 
 INSTANTIATE_TEST_SUITE_P(Benchmarks, SimPointTest,

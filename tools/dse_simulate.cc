@@ -141,7 +141,7 @@ simulate(const Options &opts)
         std::printf("\nSimPoint estimate %.4f (%.2f%% off, %zu of %zu "
                     "instructions detailed)\n",
                     est, 100.0 * std::abs(est - r.ipc) / r.ipc,
-                    ctx.simPointInstructionsPerEstimate(),
+                    ctx.simPoints().detailedInstructions(),
                     ctx.trace().size());
     }
 
