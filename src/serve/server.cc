@@ -101,8 +101,6 @@ ServerOptions::fromEnv()
         envInt("DSE_SERVE_QUEUE", static_cast<long long>(o.queueCapacity)));
     o.maxBatchPoints = static_cast<size_t>(envInt(
         "DSE_SERVE_BATCH", static_cast<long long>(o.maxBatchPoints)));
-    o.batchWindowUs = static_cast<int>(
-        envInt("DSE_SERVE_BATCH_US", o.batchWindowUs));
     o.idleTimeoutMs = static_cast<int>(
         envInt("DSE_SERVE_IDLE_MS", o.idleTimeoutMs));
     o.writeTimeoutMs = static_cast<int>(
@@ -728,28 +726,15 @@ Server::popBatch(std::vector<Request> &batch)
     if (batch[0].frame.type != MsgType::PredictPoints)
         return true;
 
-    // Micro-batching: coalesce consecutive PredictPoints requests up
-    // to maxBatchPoints, optionally waiting batchWindowUs for more.
+    // Micro-batching: coalesce the PredictPoints requests already
+    // queued behind this one, up to maxBatchPoints.
     size_t points = peekPointCount(batch[0].frame.payload);
-    const auto deadline = std::chrono::steady_clock::now() +
-        std::chrono::microseconds(opts_.batchWindowUs);
-    for (;;) {
-        while (!queue_.empty() &&
-               queue_.front().frame.type == MsgType::PredictPoints &&
-               points < opts_.maxBatchPoints) {
-            points += peekPointCount(queue_.front().frame.payload);
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-        }
-        if (opts_.batchWindowUs <= 0 || points >= opts_.maxBatchPoints ||
-            workersExit_.load(std::memory_order_acquire))
-            break;
-        if (queueCv_.wait_until(lock, deadline) ==
-            std::cv_status::timeout)
-            break;
-        if (!queue_.empty() &&
-            queue_.front().frame.type != MsgType::PredictPoints)
-            break;
+    while (!queue_.empty() &&
+           queue_.front().frame.type == MsgType::PredictPoints &&
+           points < opts_.maxBatchPoints) {
+        points += peekPointCount(queue_.front().frame.payload);
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
     }
     return true;
 }

@@ -70,9 +70,6 @@ struct ServerOptions
     size_t queueCapacity = 256;
     /** Max design points coalesced into one predictBatch call. */
     size_t maxBatchPoints = 1024;
-    /** Micro-batch window: after popping a request, wait up to this
-     *  long for more coalescable requests (0 = opportunistic only). */
-    int batchWindowUs = 0;
     /** Per-frame payload cap (protocol.hh). */
     uint32_t maxPayload = kDefaultMaxPayload;
     /** Close a connection idle (no frame, nothing pending) this long. */
@@ -83,8 +80,8 @@ struct ServerOptions
     size_t maxConnections = 256;
 
     /** Defaults overridden by DSE_SERVE_ADDR ("host" or "host:port"),
-     *  DSE_SERVE_BATCH, DSE_SERVE_BATCH_US, DSE_SERVE_QUEUE,
-     *  DSE_SERVE_WORKERS, DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS. */
+     *  DSE_SERVE_BATCH, DSE_SERVE_QUEUE, DSE_SERVE_WORKERS,
+     *  DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS. */
     static ServerOptions fromEnv();
 };
 
