@@ -2,7 +2,7 @@
 # Fail fast on script bugs, and report a nonzero exit when any bench
 # fails so CI can gate on this script instead of eyeballing logs.
 set -euo pipefail
-cd /root/repo
+cd "$(dirname "${BASH_SOURCE[0]}")"
 # Fan batch simulation / fold training / holdout evaluation out over
 # all cores unless the caller pinned a thread count.
 export DSE_THREADS="${DSE_THREADS:-$(nproc)}"
