@@ -3,7 +3,8 @@
 
 Checks the contract every tool shares:
 
-* ``--help`` exits 0; bad usage exits 1; invalid input exits 2;
+* ``--help`` exits 0; bad usage exits 1; invalid input exits 2; a
+  failed port-file write exits 3;
 * a ``dse_serve`` daemon answers a ``dse_loadgen`` run, and both exit 0
   once the daemon gets SIGTERM;
 * an exploration fed by a ``dse_simworker`` prints the same per-round
@@ -26,7 +27,7 @@ TOOLS = ["dse_explore", "dse_simulate", "dse_serve", "dse_simworker",
          "dse_loadgen"]
 
 # Exit codes (tools/cli.hh).
-OK, USAGE, INVALID = 0, 1, 2
+OK, USAGE, INVALID, RUNTIME = 0, 1, 2, 3
 
 # (expected exit code, tool, arguments): each runs to completion.
 CASES = [
@@ -43,6 +44,10 @@ CASES = [
     (INVALID, "dse_explore", ["--app=nope"]),
     (INVALID, "dse_simulate", ["--app=nope"]),
 ]
+# A daemon that cannot write its port file must say so, not serve on
+# a port no script can learn.
+if os.path.exists("/dev/full"):
+    CASES.append((RUNTIME, "dse_simworker", ["--port-file=/dev/full"]))
 
 # A small exploration: two rounds of the memory study on mcf.
 EXPLORE = ["--study=memory", "--app=mcf", "--batch=20", "--max-sims=40",
