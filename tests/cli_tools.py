@@ -16,7 +16,6 @@ Runs as the CliTools ctest; exits nonzero with one line per failure.
 """
 
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -132,7 +131,7 @@ class Tools:
 
 def estimates(stdout):
     return [line for line in stdout.splitlines()
-            if re.search(r"sims: estimated error", line)]
+            if "sims: estimated error" in line]
 
 
 def check_serve_and_loadgen(tools, scratch):
