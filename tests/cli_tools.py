@@ -35,6 +35,7 @@ CASES = [
     (USAGE, "dse_explore", ["--max-sims=abc"]),
     (USAGE, "dse_explore", ["--max-sims=-5"]),
     (USAGE, "dse_simulate", ["--index=x"]),
+    (USAGE, "dse_simulate", ["--index=12x"]),
     (USAGE, "dse_loadgen", ["--port=70000"]),
     (USAGE, "dse_serve", ["--port=70000"]),
     (USAGE, "dse_simworker", ["--threads=-1"]),
