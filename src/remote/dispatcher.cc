@@ -1,14 +1,13 @@
 #include "remote/dispatcher.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
 
 #include "serve/client.hh"
-#include "util/env.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
@@ -58,45 +57,18 @@ parseEndpoints(const std::string &spec)
         const auto colon = entry.rfind(':');
         if (colon == std::string::npos || colon == 0)
             throw std::invalid_argument(
-                "DSE_WORKERS entry '" + entry + "' is not host:port");
-        const long port = std::atol(entry.c_str() + colon + 1);
-        if (port <= 0 || port > 65535)
+                "--workers entry '" + entry + "' is not host:port");
+        const char *end = entry.data() + entry.size();
+        int port = 0;
+        const auto [stop, ec] =
+            std::from_chars(entry.data() + colon + 1, end, port);
+        if (ec != std::errc() || stop != end || port < 1 || port > 65535)
             throw std::invalid_argument(
-                "DSE_WORKERS entry '" + entry + "' has a bad port");
+                "--workers entry '" + entry + "' has a bad port");
         out.push_back(Endpoint{entry.substr(0, colon),
                                static_cast<uint16_t>(port)});
     }
     return out;
-}
-
-DispatcherOptions
-DispatcherOptions::fromEnv()
-{
-    DispatcherOptions o;
-    if (const char *spec = std::getenv("DSE_WORKERS")) {
-        if (*spec)
-            o.endpoints = parseEndpoints(spec);
-    }
-    o.batchPoints = static_cast<size_t>(std::max<long long>(
-        1, envInt("DSE_REMOTE_BATCH",
-                  static_cast<long long>(o.batchPoints))));
-    o.requestTimeoutMs = static_cast<int>(
-        envInt("DSE_REMOTE_TIMEOUT_MS", o.requestTimeoutMs));
-    o.maxAttempts = static_cast<uint32_t>(std::max<long long>(
-        1, envInt("DSE_REMOTE_ATTEMPTS", o.maxAttempts)));
-    o.backoffBaseMs = static_cast<int>(
-        envInt("DSE_REMOTE_BACKOFF_MS", o.backoffBaseMs));
-    o.backoffCapMs = static_cast<int>(
-        envInt("DSE_REMOTE_BACKOFF_CAP_MS", o.backoffCapMs));
-    o.hedgeAfterMs = static_cast<int>(
-        envInt("DSE_REMOTE_HEDGE_MS", o.hedgeAfterMs));
-    o.breakerThreshold = static_cast<uint32_t>(std::max<long long>(
-        1, envInt("DSE_REMOTE_BREAKER", o.breakerThreshold)));
-    o.probeIntervalMs = static_cast<int>(std::max<long long>(
-        1, envInt("DSE_REMOTE_PROBE_MS", o.probeIntervalMs)));
-    o.seed = static_cast<uint64_t>(
-        envInt("DSE_REMOTE_SEED", static_cast<long long>(o.seed)));
-    return o;
 }
 
 int

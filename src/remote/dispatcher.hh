@@ -25,9 +25,10 @@
  * keys are per-batch (first index), never wall clocks, keeping the
  * chaos suite's injected-fault sets reproducible.
  *
- * Topology comes from DSE_WORKERS=host:port[,host:port...]; with the
- * variable unset (no endpoints) every call degrades to plain local
- * simulation, so callers can wire the dispatcher unconditionally.
+ * Topology comes from DispatcherOptions::endpoints (dse_explore
+ * --workers=host:port[,host:port...]); with no endpoints every call
+ * degrades to plain local simulation, so callers can wire the
+ * dispatcher unconditionally.
  *
  * Threading: one persistent I/O thread per endpoint pulls batch tasks
  * from a shared queue; the caller of simulateBatch()/prefetch() acts
@@ -61,7 +62,9 @@ struct Endpoint
     uint16_t port = 0;
 };
 
-/** Parse "host:port[,host:port...]" (the DSE_WORKERS format).
+/** Parse "host:port[,host:port...]" (the dse_explore --workers
+ *  format). Each port is the whole text after its entry's last ':',
+ *  an integer in [1, 65535].
  *  @throws std::invalid_argument on a malformed entry */
 std::vector<Endpoint> parseEndpoints(const std::string &spec);
 
@@ -73,7 +76,7 @@ struct DispatcherOptions
     /** Design points per remote batch task. */
     size_t batchPoints = 16;
     /** Per-request deadline (connect/send/recv each bounded); 0 =
-     *  serve::Client::defaultTimeoutMs() (DSE_SERVE_TIMEOUT_MS). */
+     *  the serve::Client default (30 s). */
     int requestTimeoutMs = 0;
     /** Attempts per batch before falling back to local simulation. */
     uint32_t maxAttempts = 3;
@@ -91,12 +94,6 @@ struct DispatcherOptions
     int probeIntervalMs = 100;
     /** Route SimPoint-estimate batches instead of detailed ones. */
     bool simpoint = false;
-
-    /** Defaults overridden by DSE_WORKERS, DSE_REMOTE_BATCH,
-     *  DSE_REMOTE_ATTEMPTS, DSE_REMOTE_BACKOFF_MS,
-     *  DSE_REMOTE_HEDGE_MS, DSE_REMOTE_BREAKER, DSE_REMOTE_PROBE_MS,
-     *  DSE_REMOTE_SEED (and DSE_SERVE_TIMEOUT_MS via the client). */
-    static DispatcherOptions fromEnv();
 };
 
 /** Dispatch counter snapshot (mirrored into remote.* obs metrics). */

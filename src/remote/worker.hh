@@ -46,7 +46,7 @@ namespace remote {
 struct SimWorkerOptions
 {
     /** Underlying server options (addr/port/queue/workers). */
-    serve::ServerOptions server = serve::ServerOptions::fromEnv();
+    serve::ServerOptions server;
     /** Cap on design points accepted per SimulateBatch request. */
     size_t maxBatchPoints = 4096;
     /** remote.worker.crash behavior: true = _exit the process (the

@@ -13,8 +13,6 @@
 #include <cstring>
 #include <utility>
 
-#include "util/env.hh"
-
 namespace dse {
 namespace serve {
 
@@ -55,16 +53,6 @@ remainingMs(Clock::time_point deadline)
 }
 
 } // namespace
-
-int
-Client::defaultTimeoutMs()
-{
-    const long long ms = envInt("DSE_SERVE_TIMEOUT_MS", 30000);
-    return ms > 0 ? static_cast<int>(ms) : 30000;
-}
-
-Client::Client() : timeoutMs_(defaultTimeoutMs())
-{}
 
 Client::~Client()
 {

@@ -47,7 +47,7 @@ class ServeError : public std::runtime_error
 class Client
 {
   public:
-    Client();
+    Client() = default;
     ~Client();
 
     Client(const Client &) = delete;
@@ -58,7 +58,7 @@ class Client
     /**
      * Connect to host:port under a hard poll-based deadline.
      * @param timeout_ms connect deadline; <= 0 = the per-operation
-     *        timeout (DSE_SERVE_TIMEOUT_MS / setTimeout)
+     *        timeout (setTimeout)
      * @throws ServeError (Timeout/Disconnected/Internal) on failure
      */
     void connect(const std::string &host, uint16_t port,
@@ -71,15 +71,11 @@ class Client
      * Per-operation deadline. Every typed helper — and every low-level
      * send/recv — completes or raises ServeError(Timeout) within this
      * budget; there is no code path that blocks indefinitely on a dead
-     * peer. Defaults to DSE_SERVE_TIMEOUT_MS (30 s when unset); values
-     * <= 0 clamp to 1 ms so a deadline always exists.
+     * peer. Defaults to 30 s; values <= 0 clamp to 1 ms so a deadline
+     * always exists.
      */
     void setTimeout(int ms) { timeoutMs_ = ms > 0 ? ms : 1; }
     int timeout() const { return timeoutMs_; }
-
-    /** The process-wide default deadline: DSE_SERVE_TIMEOUT_MS when
-     *  set (> 0), else 30000 ms. */
-    static int defaultTimeoutMs();
 
     /// @name Typed helpers. Each sends one request and blocks for its
     /// reply; an Error reply becomes a ServeError.

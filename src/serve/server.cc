@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -19,7 +18,6 @@
 #include "ml/explorer.hh"
 #include "ml/io.hh"
 #include "study/harness.hh"
-#include "util/env.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
 #include "util/thread_pool.hh"
@@ -79,34 +77,6 @@ peekPointCount(const std::string &payload)
 }
 
 } // namespace
-
-ServerOptions
-ServerOptions::fromEnv()
-{
-    ServerOptions o;
-    if (const char *addr = std::getenv("DSE_SERVE_ADDR")) {
-        std::string s(addr);
-        const auto colon = s.rfind(':');
-        if (colon != std::string::npos) {
-            o.port = static_cast<uint16_t>(
-                std::atoi(s.c_str() + colon + 1));
-            s.resize(colon);
-        }
-        if (!s.empty())
-            o.addr = s;
-    }
-    o.workers =
-        static_cast<size_t>(envInt("DSE_SERVE_WORKERS", 0));
-    o.queueCapacity = static_cast<size_t>(
-        envInt("DSE_SERVE_QUEUE", static_cast<long long>(o.queueCapacity)));
-    o.maxBatchPoints = static_cast<size_t>(envInt(
-        "DSE_SERVE_BATCH", static_cast<long long>(o.maxBatchPoints)));
-    o.idleTimeoutMs = static_cast<int>(
-        envInt("DSE_SERVE_IDLE_MS", o.idleTimeoutMs));
-    o.writeTimeoutMs = static_cast<int>(
-        envInt("DSE_SERVE_WRITE_MS", o.writeTimeoutMs));
-    return o;
-}
 
 Server::Server(ServerOptions opts) : opts_(std::move(opts))
 {
@@ -172,9 +142,16 @@ Server::start()
     setNonBlocking(wakeRead_);
     setNonBlocking(wakeWrite_);
 
+    // stop() returns early for a server that never ran, so a failed
+    // start closes everything it opened before it throws.
+    auto fail = [this](const std::string &what) {
+        closeDescriptors();
+        throw std::runtime_error(what);
+    };
+
     listenFd_ = socket(AF_INET, SOCK_STREAM, 0);
     if (listenFd_ < 0)
-        throw std::runtime_error("serve: socket() failed");
+        fail("serve: socket() failed");
     const int one = 1;
     setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -184,21 +161,14 @@ Server::start()
     std::string addr = opts_.addr;
     if (addr == "localhost")
         addr = "127.0.0.1";
-    if (inet_pton(AF_INET, addr.c_str(), &sin.sin_addr) != 1) {
-        close(listenFd_);
-        listenFd_ = -1;
-        throw std::runtime_error("serve: bad bind address '" +
-                                 opts_.addr + "'");
-    }
+    if (inet_pton(AF_INET, addr.c_str(), &sin.sin_addr) != 1)
+        fail("serve: bad bind address '" + opts_.addr + "'");
     if (bind(listenFd_, reinterpret_cast<sockaddr *>(&sin),
              sizeof(sin)) != 0 ||
         listen(listenFd_, 128) != 0) {
         const std::string err = std::strerror(errno);
-        close(listenFd_);
-        listenFd_ = -1;
-        throw std::runtime_error("serve: cannot listen on " + opts_.addr +
-                                 ":" + std::to_string(opts_.port) + ": " +
-                                 err);
+        fail("serve: cannot listen on " + opts_.addr + ":" +
+             std::to_string(opts_.port) + ": " + err);
     }
     setNonBlocking(listenFd_);
 
@@ -254,13 +224,19 @@ Server::stop()
     if (ioThread_.joinable())
         ioThread_.join();
 
-    if (wakeRead_ >= 0)
-        close(wakeRead_);
-    if (wakeWrite_ >= 0)
-        close(wakeWrite_);
-    wakeRead_ = wakeWrite_ = -1;
+    closeDescriptors();
     workersDrained_.store(false);
     running_.store(false, std::memory_order_release);
+}
+
+void
+Server::closeDescriptors()
+{
+    for (int *fd : {&listenFd_, &wakeRead_, &wakeWrite_}) {
+        if (*fd >= 0)
+            close(*fd);
+        *fd = -1;
+    }
 }
 
 void

@@ -56,8 +56,8 @@
 namespace dse {
 namespace serve {
 
-/** Server configuration. fromEnv() fills every field that has an
- *  environment knob; explicit fields always win. */
+/** Server configuration: set by the caller, or by the dse_serve and
+ *  dse_simworker flags. */
 struct ServerOptions
 {
     /** Bind address (loopback unless deliberately exposed). */
@@ -78,11 +78,6 @@ struct ServerOptions
     int writeTimeoutMs = 10000;
     /** Cap on simultaneously open client connections. */
     size_t maxConnections = 256;
-
-    /** Defaults overridden by DSE_SERVE_ADDR ("host" or "host:port"),
-     *  DSE_SERVE_BATCH, DSE_SERVE_QUEUE, DSE_SERVE_WORKERS,
-     *  DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS. */
-    static ServerOptions fromEnv();
 };
 
 /** Verdict returned by a simulate handler (dse::remote workers). */
@@ -123,7 +118,7 @@ ml::Ensemble trainOneRound(study::StudyKind kind, const std::string &app,
 class Server
 {
   public:
-    explicit Server(ServerOptions opts = ServerOptions::fromEnv());
+    explicit Server(ServerOptions opts = ServerOptions());
     ~Server();
 
     Server(const Server &) = delete;
@@ -242,6 +237,8 @@ class Server
     void sendError(const std::shared_ptr<Conn> &conn, uint64_t id,
                    ErrCode code, const std::string &message);
     void wakeIo();
+    /** Close the listener and both wake-pipe ends (those still open). */
+    void closeDescriptors();
 
     static uint64_t nowNs();
 

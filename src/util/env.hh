@@ -1,9 +1,12 @@
 /**
  * @file
- * Environment-variable configuration knobs shared by the benchmark
- * harnesses. These let the same binary run a quick representative
- * sweep by default and a full paper-scale sweep on request
- * (DESIGN.md, "Per-experiment index").
+ * Readers for the environment variables the engine still honours: the
+ * process-wide DSE_THREADS and DSE_METRICS switches, and the benchmark
+ * harnesses' scope knobs (study::BenchScope), which let the same
+ * binary run a quick representative sweep by default and a full
+ * paper-scale sweep on request (DESIGN.md, "Per-experiment index").
+ * The serve and remote layers read none of them: their settings are
+ * option-struct fields and tool flags.
  */
 
 #ifndef DSE_UTIL_ENV_HH

@@ -16,11 +16,8 @@
  * by a different metric kind, so exported series can never collide.
  *
  * Cost model:
- *  - compiled out (CMake -DDSE_METRICS=OFF defines DSE_OBS_DISABLED):
- *    add/observe/TraceScope are empty inline functions — zero code in
- *    the hot paths;
- *  - compiled in, runtime-disabled (the default; DSE_METRICS env var
- *    unset or 0): one relaxed atomic load and a branch per probe;
+ *  - disabled (the default; DSE_METRICS env var unset or 0): one
+ *    relaxed atomic load and a branch per probe;
  *  - enabled (DSE_METRICS=1 or setMetricsEnabled(true)): one
  *    relaxed fetch_add on a thread-private cell per probe.
  *
@@ -83,14 +80,10 @@ bool metricsEnabledSlow();
 inline bool
 metricsEnabled()
 {
-#if defined(DSE_OBS_DISABLED)
-    return false;
-#else
     const int mode = detail::metricsMode.load(std::memory_order_relaxed);
     if (mode >= 0)
         return mode != 0;
     return detail::metricsEnabledSlow();
-#endif
 }
 
 /** Force collection on/off (tests, --metrics); overrides DSE_METRICS. */
@@ -168,38 +161,23 @@ class MetricsRegistry
     void
     add(CounterId id, uint64_t n = 1)
     {
-#if !defined(DSE_OBS_DISABLED)
         if (metricsEnabled() && id.valid())
             addSlow(id, n);
-#else
-        (void)id;
-        (void)n;
-#endif
     }
 
     void
     observe(HistogramId id, uint64_t value)
     {
-#if !defined(DSE_OBS_DISABLED)
         if (metricsEnabled() && id.valid())
             observeSlow(id, value);
-#else
-        (void)id;
-        (void)value;
-#endif
     }
 
     /** Gauges are registry-global (last write wins), not sharded. */
     void
     setGauge(GaugeId id, int64_t value)
     {
-#if !defined(DSE_OBS_DISABLED)
         if (metricsEnabled() && id.valid())
             setGaugeSlow(id, value);
-#else
-        (void)id;
-        (void)value;
-#endif
     }
 
     /** Merge every thread's shard into one consistent view. */

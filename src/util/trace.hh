@@ -7,9 +7,8 @@
  *
  * A TraceScope reads the steady clock twice (construction and
  * destruction) only when metrics or tracing are enabled; otherwise it
- * costs two relaxed loads, and with -DDSE_METRICS=OFF it compiles to
- * nothing. Span names are expected to be string literals (the
- * collector stores the pointer, not a copy).
+ * costs two relaxed loads. Span names are expected to be string
+ * literals (the collector stores the pointer, not a copy).
  *
  * Tracing is armed by the DSE_TRACE environment variable (a file
  * path) or programmatically via TraceCollector::global().start().
@@ -49,14 +48,10 @@ uint64_t steadyNowNs();
 inline bool
 tracingEnabled()
 {
-#if defined(DSE_OBS_DISABLED)
-    return false;
-#else
     const int mode = detail::traceMode.load(std::memory_order_relaxed);
     if (mode >= 0)
         return mode != 0;
     return detail::tracingEnabledSlow();
-#endif
 }
 
 class TraceCollector
@@ -117,22 +112,16 @@ class TraceScope
   public:
     TraceScope(const char *name, HistogramId hist)
     {
-#if !defined(DSE_OBS_DISABLED)
         name_ = name;
         hist_ = hist;
         metrics_ = metricsEnabled();
         trace_ = tracingEnabled();
         if (metrics_ || trace_)
             startNs_ = detail::steadyNowNs();
-#else
-        (void)name;
-        (void)hist;
-#endif
     }
 
     ~TraceScope()
     {
-#if !defined(DSE_OBS_DISABLED)
         if (!metrics_ && !trace_)
             return;
         const uint64_t end = detail::steadyNowNs();
@@ -141,20 +130,17 @@ class TraceScope
             MetricsRegistry::global().observe(hist_, dur);
         if (trace_)
             TraceCollector::global().record(name_, startNs_, dur);
-#endif
     }
 
     TraceScope(const TraceScope &) = delete;
     TraceScope &operator=(const TraceScope &) = delete;
 
   private:
-#if !defined(DSE_OBS_DISABLED)
     const char *name_ = nullptr;
     HistogramId hist_;
     uint64_t startNs_ = 0;
     bool metrics_ = false;
     bool trace_ = false;
-#endif
 };
 
 } // namespace obs

@@ -28,6 +28,10 @@ TOOLS = ["dse_explore", "dse_simulate", "dse_serve", "dse_simworker",
 # Exit codes (tools/cli.hh).
 OK, USAGE, INVALID, RUNTIME = 0, 1, 2, 3
 
+# A small exploration: two rounds of the memory study on mcf.
+EXPLORE = ["--study=memory", "--app=mcf", "--batch=20", "--max-sims=40",
+           "--max-epochs=100", "--target-error=0.1"]
+
 # (expected exit code, tool, arguments): each runs to completion.
 CASES = [
     *[(OK, tool, ["--help"]) for tool in TOOLS],
@@ -43,15 +47,14 @@ CASES = [
       for tool in ["dse_explore", "dse_serve", "dse_simulate"]],
     (INVALID, "dse_explore", ["--app=nope"]),
     (INVALID, "dse_simulate", ["--app=nope"]),
+    # A worker port must parse whole; a bad one is refused, not
+    # simulated around.
+    (INVALID, "dse_explore", EXPLORE + ["--workers=127.0.0.1:7081x"]),
 ]
 # A daemon that cannot write its port file must say so, not serve on
 # a port no script can learn.
 if os.path.exists("/dev/full"):
     CASES.append((RUNTIME, "dse_simworker", ["--port-file=/dev/full"]))
-
-# A small exploration: two rounds of the memory study on mcf.
-EXPLORE = ["--study=memory", "--app=mcf", "--batch=20", "--max-sims=40",
-           "--max-epochs=100", "--target-error=0.1"]
 
 # A case that should be refused but runs as a daemon is cut after
 # CASE_TIMEOUT_S.
@@ -63,7 +66,7 @@ TIMEOUT_S = 120
 class Tools:
     def __init__(self, bindir):
         self.bindir = bindir
-        # Knobs such as DSE_WORKERS or DSE_JOURNAL would change what a
+        # Knobs such as DSE_JOURNAL or DSE_FAULTS would change what a
         # tool does, so every run starts without them.
         self.env = {k: v for k, v in os.environ.items()
                     if not k.startswith("DSE_")}

@@ -55,13 +55,7 @@ readFile(const std::string &path)
 class ObsBase : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-#if defined(DSE_OBS_DISABLED)
-        GTEST_SKIP() << "dse::obs compiled out (DSE_METRICS=OFF)";
-#endif
-        obs::setMetricsEnabled(true);
-    }
+    void SetUp() override { obs::setMetricsEnabled(true); }
     void TearDown() override
     {
         obs::TraceCollector::global().stop();

@@ -222,6 +222,11 @@ TEST(RemoteProtocol, ParseEndpoints)
     EXPECT_THROW(remote::parseEndpoints("h:0"), std::invalid_argument);
     EXPECT_THROW(remote::parseEndpoints("h:99999"),
                  std::invalid_argument);
+    // The port is the whole text after the last ':', nothing less.
+    for (const char *spec : {"127.0.0.1:7081x", "127.0.0.1: 7081",
+                             "127.0.0.1:+7081", "127.0.0.1:7081.9"})
+        EXPECT_THROW(remote::parseEndpoints(spec), std::invalid_argument)
+            << spec;
 }
 
 // ---------------------------------------------------------------------
@@ -357,19 +362,16 @@ TEST_F(RemoteTest, ClientRefusedConnectionIsDisconnected)
     EXPECT_LT(elapsedMs(t0), 5000);
 }
 
-TEST_F(RemoteTest, DefaultDeadlineComesFromEnvironment)
+TEST_F(RemoteTest, DefaultsIgnoreTheEnvironment)
 {
+    // Settings come from option fields and tool flags only, so these
+    // variables change nothing.
     ::setenv("DSE_SERVE_TIMEOUT_MS", "1234", 1);
-    EXPECT_EQ(serve::Client::defaultTimeoutMs(), 1234);
-    EXPECT_EQ(serve::Client().timeout(), 1234);
-    // Nonsense and non-positive values fall back to the safe default
-    // rather than disabling the deadline.
-    ::setenv("DSE_SERVE_TIMEOUT_MS", "0", 1);
-    EXPECT_EQ(serve::Client::defaultTimeoutMs(), 30000);
-    ::setenv("DSE_SERVE_TIMEOUT_MS", "banana", 1);
-    EXPECT_EQ(serve::Client::defaultTimeoutMs(), 30000);
+    ::setenv("DSE_SERVE_QUEUE", "1", 1);
+    EXPECT_EQ(serve::Client().timeout(), 30000);
+    EXPECT_EQ(remote::SimWorkerOptions().server.queueCapacity, 256u);
     ::unsetenv("DSE_SERVE_TIMEOUT_MS");
-    EXPECT_EQ(serve::Client::defaultTimeoutMs(), 30000);
+    ::unsetenv("DSE_SERVE_QUEUE");
 }
 
 // ---------------------------------------------------------------------

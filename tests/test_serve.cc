@@ -20,7 +20,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -444,6 +446,35 @@ TEST(ServeErrors, StructuredErrorsKeepTheConnectionAlive)
     const auto y = client.predictPoints(x, 1, 3);
     EXPECT_EQ(y.size(), 1u);
     server.stop();
+}
+
+/** Open descriptors of this process. */
+size_t
+openDescriptors()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+TEST(ServeErrors, FailedStartClosesItsDescriptors)
+{
+    serve::Server holder(testOptions());
+    holder.start();
+    const size_t before = openDescriptors();
+
+    serve::ServerOptions badAddress = testOptions();
+    badAddress.addr = "not-an-address";
+    serve::ServerOptions portTaken = testOptions();
+    portTaken.port = holder.port();
+    for (const auto &opts : {badAddress, badAddress, badAddress, portTaken}) {
+        serve::Server server(opts);
+        EXPECT_THROW(server.start(), std::runtime_error) << opts.addr;
+    }
+    EXPECT_EQ(openDescriptors(), before);
+    holder.stop();
 }
 
 TEST(ServeErrors, PredictRangeRejectsAReplyOfTheWrongLength)

@@ -46,7 +46,7 @@ struct Options
     std::vector<uint64_t> predictIndices;
     int maxEpochs = 5000;
     cli::Metrics metrics;
-    std::string workers;  ///< host:port,... (also DSE_WORKERS)
+    std::string workers;  ///< host:port,...
 };
 
 const char *const kUsage =
@@ -62,8 +62,7 @@ const char *const kUsage =
     "  --save-model=<path>        write the trained ensemble\n"
     "  --load-model=<path>        skip training, load a model\n"
     "  --predict=<index>          predict a design point (repeat)\n"
-    "  --workers=<host:port,...>  remote simulation workers\n"
-    "                             (default $DSE_WORKERS; failures\n"
+    "  --workers=<host:port,...>  remote simulation workers (failures\n"
     "                             fall back to local simulation)\n"
     "  --describe-space           print the space and exit\n"
     "  --list-apps                print benchmark names and exit\n"
@@ -131,6 +130,8 @@ explore(const Options &opts)
         return 0;
     }
 
+    // Refuse a malformed --workers before building the study.
+    const auto endpoints = remote::parseEndpoints(opts.workers);
     study::StudyContext ctx(opts.kind, opts.app);
     std::printf("%s study, %s: %llu design points, %zu-instruction "
                 "trace\n",
@@ -154,10 +155,8 @@ explore(const Options &opts)
         eopts.activeLearning = opts.active;
         eopts.train.maxEpochs = opts.maxEpochs;
 
-        remote::DispatcherOptions dopts =
-            remote::DispatcherOptions::fromEnv();
-        if (!opts.workers.empty())
-            dopts.endpoints = remote::parseEndpoints(opts.workers);
+        remote::DispatcherOptions dopts;
+        dopts.endpoints = endpoints;
         dopts.simpoint = opts.simpoint;
         std::unique_ptr<remote::RemoteDispatcher> dispatcher;
         if (!dopts.endpoints.empty()) {

@@ -2,7 +2,8 @@
  * @file
  * Prediction-service daemon: load (or train) an ensemble model and
  * serve it over the dse::serve wire protocol until SIGINT/SIGTERM,
- * then drain gracefully.
+ * then drain gracefully. Server settings come from the flags alone;
+ * one without a flag keeps its serve::ServerOptions default.
  *
  * Examples:
  *   dse_serve --model=mcf.model --study=memory --port=7070
@@ -26,7 +27,7 @@ namespace {
 
 struct Options
 {
-    serve::ServerOptions server = serve::ServerOptions::fromEnv();
+    serve::ServerOptions server;
     std::string model;  ///< ensemble file to serve
     std::optional<study::StudyKind> kind;
     std::string app;
@@ -52,10 +53,7 @@ const char *const kUsage =
     "  --workers=<n>              worker threads (default DSE_THREADS)\n"
     "  --queue=<n>                request-queue capacity (256)\n"
     "  --batch=<n>                max coalesced points (1024)\n"
-    "  --metrics[=path]           dse::obs report at shutdown\n"
-    "env: DSE_SERVE_ADDR, DSE_SERVE_BATCH, DSE_SERVE_QUEUE,\n"
-    "     DSE_SERVE_WORKERS, DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS\n"
-    "     (flags win over env)";
+    "  --metrics[=path]           dse::obs report at shutdown";
 
 int
 serveModel(const Options &opts)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Simulation-worker daemon: serve SimulateBatch requests from a
- * RemoteDispatcher (dse_explore --workers / DSE_WORKERS) until
- * SIGINT/SIGTERM, then drain gracefully.
+ * RemoteDispatcher (dse_explore --workers) until SIGINT/SIGTERM, then
+ * drain gracefully. Server settings come from the flags alone; one
+ * without a flag keeps its remote::SimWorkerOptions default.
  *
  * The worker rebuilds each requested (study, app, trace length)
  * context on demand and memoizes per context, so repeat batches from
@@ -46,8 +47,7 @@ const char *const kUsage =
     "  --fault-salt=<n>       mixed into fault-site keys so\n"
     "                         co-located workers fail independently\n"
     "  --metrics[=path]       dse::obs report at shutdown\n"
-    "env: DSE_SERVE_ADDR, DSE_SERVE_QUEUE, DSE_SERVE_WORKERS,\n"
-    "     DSE_FAULTS (remote.worker.crash, remote.conn.delay)\n"
+    "env: DSE_FAULTS (remote.worker.crash, remote.conn.delay)\n"
     "An injected crash exits 3.";
 
 int
