@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -135,6 +136,40 @@ encodeChunk(const DesignSpace &space, const uint64_t *indices, size_t m,
     }
 }
 
+/** A batched evaluator: Ensemble::predictBatch or memberSpreadBatch. */
+using BatchEval = void (Ensemble::*)(const double *x, size_t n,
+                                     double *out) const;
+
+/**
+ * The fixed-chunk parallel loop behind Ensemble::predictIndices,
+ * predictRange and memberSpreadIndices: n points in chunks of
+ * Ensemble::kScoreChunk on the global ThreadPool. @p encode fills a
+ * per-thread [m x encodedWidth()] buffer with the chunk of m points
+ * starting at lo; @p eval of @p ensemble turns it into the chunk's m
+ * outputs. The partition does not depend on the thread count, so
+ * neither does any floating-point operation or result.
+ */
+std::vector<double>
+scoreChunks(const Ensemble &ensemble, BatchEval eval,
+            const DesignSpace &space, size_t n,
+            const std::function<void(size_t lo, size_t m, double *x)> &encode)
+{
+    constexpr size_t chunk = Ensemble::kScoreChunk;
+    const size_t width = static_cast<size_t>(space.encodedWidth());
+    std::vector<double> out(n);
+    util::ThreadPool::global().parallelFor(
+        0, (n + chunk - 1) / chunk, [&](size_t c) {
+            const size_t lo = c * chunk;
+            const size_t m = std::min(chunk, n - lo);
+            thread_local std::vector<double> xbuf;
+            if (xbuf.size() < chunk * width)
+                xbuf.resize(chunk * width);
+            encode(lo, m, xbuf.data());
+            (ensemble.*eval)(xbuf.data(), m, out.data() + lo);
+        });
+    return out;
+}
+
 } // namespace
 
 Ensemble::Ensemble(std::vector<Ann> nets, TargetScaler scaler,
@@ -194,23 +229,10 @@ std::vector<double>
 Ensemble::predictIndices(const DesignSpace &space,
                          const std::vector<uint64_t> &indices) const
 {
-    const size_t n = indices.size();
-    std::vector<double> out(n);
-    const size_t width = static_cast<size_t>(space.encodedWidth());
-    // A few kBlock blocks per pool task; the chunk partition is fixed
-    // (independent of thread count), so every floating-point
-    // operation — and thus the result — is too.
-    const size_t chunks = (n + kScoreChunk - 1) / kScoreChunk;
-    util::ThreadPool::global().parallelFor(0, chunks, [&](size_t c) {
-        const size_t lo = c * kScoreChunk;
-        const size_t m = std::min(kScoreChunk, n - lo);
-        thread_local std::vector<double> xbuf;
-        if (xbuf.size() < kScoreChunk * width)
-            xbuf.resize(kScoreChunk * width);
-        encodeChunk(space, indices.data() + lo, m, xbuf.data());
-        predictBatch(xbuf.data(), m, out.data() + lo);
-    });
-    return out;
+    return scoreChunks(*this, &Ensemble::predictBatch, space,
+                       indices.size(), [&](size_t lo, size_t m, double *x) {
+                           encodeChunk(space, indices.data() + lo, m, x);
+                       });
 }
 
 std::vector<double>
@@ -219,23 +241,14 @@ Ensemble::predictRange(const DesignSpace &space, uint64_t first,
 {
     if (first > space.size() || count > space.size() - first)
         throw std::out_of_range("predictRange outside the design space");
-    std::vector<double> out(count);
-    const size_t width = static_cast<size_t>(space.encodedWidth());
-    // Same fixed chunk partition as predictIndices, with the chunk's
-    // first index computed instead of loaded — so a sweep over
-    // [first, first + count) is bit-identical to predictIndices on
-    // the equivalent iota vector, without ever building that vector.
-    const size_t chunks = (count + kScoreChunk - 1) / kScoreChunk;
-    util::ThreadPool::global().parallelFor(0, chunks, [&](size_t c) {
-        const size_t lo = c * kScoreChunk;
-        const size_t m = std::min(kScoreChunk, count - lo);
-        thread_local std::vector<double> xbuf;
-        if (xbuf.size() < kScoreChunk * width)
-            xbuf.resize(kScoreChunk * width);
-        space.encodeRangeInto(first + lo, m, xbuf.data());
-        predictBatch(xbuf.data(), m, out.data() + lo);
-    });
-    return out;
+    // Each chunk's first index is computed instead of loaded, so a
+    // sweep over [first, first + count) is bit-identical to
+    // predictIndices on the equivalent iota vector, without ever
+    // building that vector.
+    return scoreChunks(*this, &Ensemble::predictBatch, space, count,
+                       [&](size_t lo, size_t m, double *x) {
+                           space.encodeRangeInto(first + lo, m, x);
+                       });
 }
 
 double
@@ -338,20 +351,10 @@ std::vector<double>
 Ensemble::memberSpreadIndices(const DesignSpace &space,
                               const std::vector<uint64_t> &indices) const
 {
-    const size_t n = indices.size();
-    std::vector<double> out(n);
-    const size_t width = static_cast<size_t>(space.encodedWidth());
-    const size_t chunks = (n + kScoreChunk - 1) / kScoreChunk;
-    util::ThreadPool::global().parallelFor(0, chunks, [&](size_t c) {
-        const size_t lo = c * kScoreChunk;
-        const size_t m = std::min(kScoreChunk, n - lo);
-        thread_local std::vector<double> xbuf;
-        if (xbuf.size() < kScoreChunk * width)
-            xbuf.resize(kScoreChunk * width);
-        encodeChunk(space, indices.data() + lo, m, xbuf.data());
-        memberSpreadBatch(xbuf.data(), m, out.data() + lo);
-    });
-    return out;
+    return scoreChunks(*this, &Ensemble::memberSpreadBatch, space,
+                       indices.size(), [&](size_t lo, size_t m, double *x) {
+                           encodeChunk(space, indices.data() + lo, m, x);
+                       });
 }
 
 FoldTraining
@@ -523,7 +526,7 @@ trainFolds(const std::vector<std::vector<double>> &x,
         const auto &tm = TrainMetrics::get();
         auto &registry = obs::MetricsRegistry::global();
         obs::TraceScope span("train-fold", tm.foldWallNs);
-        const int attempts_allowed = 1 + std::max(0, opts.foldRetries);
+        constexpr int attempts_allowed = 1 + kFoldRetries;
         // Retry seeds derive from the fold seed, not a shared
         // counter, so recovery is deterministic at any thread count.
         SplitMix64 reseeder(fold_seeds[mi] ^ 0x6a09e667f3bcc909ull);

@@ -89,16 +89,17 @@ struct TrainOptions
     /** Disable early stopping entirely (ablation). */
     bool earlyStopping = true;
     uint64_t seed = 12345;
-    /**
-     * Retraining attempts granted to a fold whose network diverges
-     * (NaN/Inf weights or an exploding epoch loss). Each retry
-     * reinitializes from a deterministically reseeded SplitMix64
-     * stream, so recovery is bit-identical at any thread count. A
-     * fold that exhausts 1 + foldRetries attempts is dropped and the
-     * ensemble degrades gracefully (see trainEnsemble).
-     */
-    int foldRetries = 3;
 };
+
+/**
+ * Retraining attempts granted to a fold whose network diverges
+ * (NaN/Inf weights or an exploding epoch loss). Each retry
+ * reinitializes from a deterministically reseeded SplitMix64 stream,
+ * so recovery is bit-identical at any thread count. A fold that
+ * exhausts 1 + kFoldRetries attempts is dropped and the ensemble
+ * degrades gracefully (see trainFolds).
+ */
+constexpr int kFoldRetries = 3;
 
 /** One fold's failure report when training degraded (see Ensemble). */
 struct TrainWarning
@@ -258,7 +259,7 @@ struct FoldTraining
  * early-stopping error and the pooled error estimate.
  *
  * Failure containment: a fold whose network diverges is retried up
- * to opts.foldRetries times from deterministically reseeded
+ * to kFoldRetries times from deterministically reseeded
  * initializations; a fold that still fails is dropped rather than
  * aborting the campaign. The result then carries the surviving
  * members, a warning per dropped fold, and an error estimate widened

@@ -152,22 +152,31 @@ Explorer::step()
     if (batch.empty())
         return std::nullopt;
 
-    // Let a dispatcher (or any batch-aware simulator) start on the
-    // whole batch before the sequential per-index accumulation below.
-    if (opts_.prefetch)
-        opts_.prefetch(batch);
+    // Simulate the whole round before committing any of it: on a
+    // throw the round's points return to the unseen pool, and
+    // sampledIndices() and data() keep their lengths. A dispatcher (or
+    // any batch-aware simulator) starts on the whole batch first.
+    std::vector<double> values;
+    values.reserve(batch.size());
+    try {
+        if (opts_.prefetch)
+            opts_.prefetch(batch);
+        for (uint64_t idx : batch)
+            values.push_back(simulator_(idx));
+    } catch (...) {
+        for (uint64_t idx : batch)
+            seen_[idx] = false;
+        throw;
+    }
 
     const auto &em = ExploreMetrics::get();
     auto &registry = obs::MetricsRegistry::global();
     registry.add(em.rounds);
     registry.add(em.pointsSimulated, batch.size());
 
-    // Encode the whole batch first (a span of pure feature encoding),
-    // then simulate and accumulate. The simulator memoizes by index
-    // and the encoding is a pure function of the index, so splitting
-    // the loop changes no result. One contiguous
-    // [batch x encodedWidth] buffer filled by encodeIndexInto — no
-    // per-point heap allocation in the encode span.
+    // Encode the whole batch into one contiguous [batch x
+    // encodedWidth] buffer filled by encodeIndexInto — no per-point
+    // heap allocation in the encode span — then commit the round.
     const size_t width = static_cast<size_t>(space_.encodedWidth());
     std::vector<double> features(batch.size() * width);
     {
@@ -178,8 +187,7 @@ Explorer::step()
     for (size_t i = 0; i < batch.size(); ++i) {
         indices_.push_back(batch[i]);
         const double *row = features.data() + i * width;
-        data_.add(std::vector<double>(row, row + width),
-                  simulator_(batch[i]));
+        data_.add(std::vector<double>(row, row + width), values[i]);
     }
 
     TrainOptions train = opts_.train;

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "serve/client.hh"
 #include "util/fault.hh"
@@ -43,6 +42,12 @@ struct RemoteMetrics
         return m;
     }
 };
+
+/** Half-open probe (Ping) interval while a worker's breaker is open. */
+constexpr int kProbeIntervalMs = 100;
+
+/** Seed of the backoff jitter stream (backoffDelayMs). */
+constexpr uint64_t kBackoffSeed = 0xd15e7c4ull;
 
 /** Outcome of one remote attempt (drives retry bookkeeping). */
 enum class Outcome { Ok, Timeout, Disconnected, Other };
@@ -190,13 +195,6 @@ RemoteDispatcher::stats() const
 }
 
 bool
-RemoteDispatcher::breakerOpen(size_t i) const
-{
-    return i < workers_.size() &&
-        workers_[i]->open.load(std::memory_order_relaxed);
-}
-
-bool
 RemoteDispatcher::allBreakersOpen() const
 {
     for (const auto &w : workers_) {
@@ -215,19 +213,7 @@ RemoteDispatcher::prefetch(const std::vector<uint64_t> &indices)
         return;
 
     // Only missing points travel; duplicates collapse.
-    std::vector<uint64_t> todo;
-    {
-        std::unordered_set<uint64_t> seen;
-        for (uint64_t idx : indices) {
-            if (!seen.insert(idx).second)
-                continue;
-            const bool have = opts_.simpoint
-                ? ctx_.hasSimPointEstimate(idx)
-                : ctx_.hasResult(idx);
-            if (!have)
-                todo.push_back(idx);
-        }
-    }
+    const auto todo = ctx_.missing(indices, opts_.simpoint);
     if (todo.empty())
         return;
 
@@ -397,7 +383,7 @@ RemoteDispatcher::workerLoop(size_t wi)
             if (w.open.load(std::memory_order_relaxed)) {
                 const uint64_t now = nowNs();
                 if (now - w.lastProbeNs >=
-                    static_cast<uint64_t>(opts_.probeIntervalMs) *
+                    static_cast<uint64_t>(kProbeIntervalMs) *
                         1000000ull) {
                     w.lastProbeNs = now;
                     try {
@@ -469,7 +455,7 @@ RemoteDispatcher::workerLoop(size_t wi)
                         registry.add(rm.redispatches);
                     }
                     const int delay = backoffDelayMs(
-                        opts_.seed, task->key, task->attempt,
+                        kBackoffSeed, task->key, task->attempt,
                         opts_.backoffBaseMs, opts_.backoffCapMs);
                     requeue(task, nowNs() +
                                 static_cast<uint64_t>(delay) *

@@ -33,8 +33,8 @@
  * Threading: one persistent I/O thread per endpoint pulls batch tasks
  * from a shared queue; the caller of simulateBatch()/prefetch() acts
  * as coordinator (hedging scan, all-breakers-open escalation,
- * completion wait). The StudyContext's sharded memo cache makes
- * concurrent result injection safe.
+ * completion wait). The StudyContext's locked memo makes concurrent
+ * result injection safe.
  */
 
 #ifndef DSE_REMOTE_DISPATCHER_HH
@@ -83,15 +83,11 @@ struct DispatcherOptions
     /** Backoff base and cap for the jittered retry delay. */
     int backoffBaseMs = 5;
     int backoffCapMs = 1000;
-    /** Seed for the backoff jitter stream. */
-    uint64_t seed = 0xd15e7c4ull;
     /** Hedge a batch onto a second worker once it has been in flight
      *  this long with no reply (0 = hedging off). */
     int hedgeAfterMs = 0;
     /** Consecutive failures that open a worker's circuit breaker. */
     uint32_t breakerThreshold = 3;
-    /** Half-open probe (Ping) interval while a breaker is open. */
-    int probeIntervalMs = 100;
     /** Route SimPoint-estimate batches instead of detailed ones. */
     bool simpoint = false;
 };
@@ -139,9 +135,6 @@ class RemoteDispatcher
     bool active() const { return !opts_.endpoints.empty(); }
 
     DispatchStats stats() const;
-
-    /** True if worker @p i's circuit breaker is currently open. */
-    bool breakerOpen(size_t i) const;
 
     /**
      * The retry delay before attempt @p attempt of the batch keyed

@@ -58,7 +58,7 @@ constexpr uint32_t kMagic = 0x56525344u;
 /** Fixed header size in bytes. */
 constexpr size_t kHeaderSize = 40;
 
-/** Default cap on payload bytes per frame (16 MiB). */
+/** Cap on payload bytes per frame (16 MiB), at both client and server. */
 constexpr uint32_t kDefaultMaxPayload = 16u << 20;
 
 /** Message types. Requests are < 16, replies >= 16. */

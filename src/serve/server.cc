@@ -58,6 +58,13 @@ struct ServeMetrics
     }
 };
 
+/** Close a connection idle (no frame, nothing pending) this long. */
+constexpr uint64_t kIdleTimeoutNs = 30000ull * 1000000ull;
+
+/** Close a connection whose outbox makes no progress this long; also
+ *  the drain deadline of stop(). */
+constexpr uint64_t kWriteTimeoutNs = 10000ull * 1000000ull;
+
 void
 setNonBlocking(int fd)
 {
@@ -316,9 +323,7 @@ Server::ioLoop()
                 if (!conn->tx.empty() && !conn->closed.load())
                     pending = true;
             }
-            const uint64_t deadline =
-                static_cast<uint64_t>(opts_.writeTimeoutMs) * 1000000ull;
-            if (!pending || nowNs() - drain_start_ns > deadline)
+            if (!pending || nowNs() - drain_start_ns > kWriteTimeoutNs)
                 break;
         }
 
@@ -481,7 +486,7 @@ Server::parseFrames(const std::shared_ptr<Conn> &conn)
         size_t consumed = 0;
         const DecodeStatus st =
             decodeFrame(conn->rx.data(), conn->rx.size(),
-                        opts_.maxPayload, frame, consumed);
+                        kDefaultMaxPayload, frame, consumed);
         switch (st) {
           case DecodeStatus::NeedMore:
             return;
@@ -614,8 +619,7 @@ Server::reapTimeouts(uint64_t now_ns)
             blocked_since = conn->writeBlockedSinceNs;
         }
         if (!tx_empty && blocked_since != 0 &&
-            now_ns - blocked_since >
-                static_cast<uint64_t>(opts_.writeTimeoutMs) * 1000000ull) {
+            now_ns - blocked_since > kWriteTimeoutNs) {
             victims.push_back(conn);  // write timeout: wedged reader
             continue;
         }
@@ -625,8 +629,7 @@ Server::reapTimeouts(uint64_t now_ns)
             continue;
         }
         if (!owes && !conn->draining &&
-            now_ns - conn->lastActivityNs >
-                static_cast<uint64_t>(opts_.idleTimeoutMs) * 1000000ull) {
+            now_ns - conn->lastActivityNs > kIdleTimeoutNs) {
             victims.push_back(conn);  // idle reap
         }
     }
@@ -665,7 +668,7 @@ Server::sendReply(const std::shared_ptr<Conn> &conn, MsgType type,
         // connection past it (the write timeout would get it anyway;
         // this bounds memory in the meantime).
         if (conn->tx.size() >
-            static_cast<size_t>(opts_.maxPayload) * 2 + (64u << 10)) {
+            static_cast<size_t>(kDefaultMaxPayload) * 2 + (64u << 10)) {
             conn->closed.store(true, std::memory_order_release);
             return;
         }
@@ -849,7 +852,7 @@ Server::handleOne(const Request &req)
                       "index range outside the design space");
             return;
         }
-        if (range.count > (opts_.maxPayload - 8) / 8) {
+        if (range.count > (kDefaultMaxPayload - 8) / 8) {
             sendError(req.conn, req.frame.id, ErrCode::BadIndex,
                       "range reply would exceed the frame cap");
             return;

@@ -18,8 +18,8 @@
  * Backpressure is explicit: when the queue is full the I/O thread
  * sends an immediate Overloaded error reply instead of buffering —
  * memory per client is bounded by one frame plus one outbox, and the
- * server never falls behind silently. Idle connections are reaped,
- * writes that make no progress for writeTimeoutMs are cut, and stop()
+ * server never falls behind silently. Idle connections are reaped
+ * after 30 s, writes that make no progress for 10 s are cut, and stop()
  * drains: accepted requests are answered, outboxes are flushed, then
  * sockets close.
  *
@@ -70,12 +70,6 @@ struct ServerOptions
     size_t queueCapacity = 256;
     /** Max design points coalesced into one predictBatch call. */
     size_t maxBatchPoints = 1024;
-    /** Per-frame payload cap (protocol.hh). */
-    uint32_t maxPayload = kDefaultMaxPayload;
-    /** Close a connection idle (no frame, nothing pending) this long. */
-    int idleTimeoutMs = 30000;
-    /** Close a connection whose outbox makes no progress this long. */
-    int writeTimeoutMs = 10000;
     /** Cap on simultaneously open client connections. */
     size_t maxConnections = 256;
 };

@@ -12,6 +12,27 @@
 namespace dse {
 namespace simpoint {
 
+namespace {
+
+/**
+ * Smallest cluster count considered. On short traces the BIC of a
+ * 30-odd-interval clustering can collapse to one cluster whose single
+ * representative carries a large, configuration-dependent bias; a
+ * small floor keeps several program regions represented.
+ */
+constexpr int kMinK = 3;
+
+/** Dimensions of the random projection the BBVs are clustered in. */
+constexpr size_t kProjectedDims = 15;
+
+/** Accept the smallest k scoring >= this fraction of the best BIC. */
+constexpr double kBicThreshold = 0.9;
+
+/** Seed of the projection matrix and of k-means seeding. */
+constexpr uint64_t kSeed = 42;
+
+} // namespace
+
 SimPoints
 pickSimPoints(const workload::Trace &trace, const SimPointOptions &opts)
 {
@@ -19,24 +40,24 @@ pickSimPoints(const workload::Trace &trace, const SimPointOptions &opts)
     if (bbvs.size() < 2)
         throw std::invalid_argument("trace too short for SimPoint");
     const auto projected =
-        randomProject(bbvs, opts.projectedDims, opts.seed);
+        randomProject(bbvs, kProjectedDims, kSeed);
 
     // Cluster for k = 1..maxK and score with BIC; accept the smallest
-    // k reaching bicThreshold of the best score (the SimPoint rule).
+    // k reaching kBicThreshold of the best score (the SimPoint rule).
     const int max_k = std::min<int>(opts.maxK,
                                     static_cast<int>(projected.size()));
-    const int min_k = std::max(1, std::min(opts.minK, max_k));
+    const int min_k = std::max(1, std::min(kMinK, max_k));
     std::vector<KMeansResult> runs;
     std::vector<double> scores;
     for (int k = min_k; k <= max_k; ++k) {
-        runs.push_back(kmeans(projected, k, opts.seed + k));
+        runs.push_back(kmeans(projected, k, kSeed + k));
         scores.push_back(bicScore(projected, runs.back()));
     }
     // SimPoint's rule: normalize scores to their observed range and
-    // accept the smallest k reaching bicThreshold of that range.
+    // accept the smallest k reaching kBicThreshold of that range.
     const double lo = *std::min_element(scores.begin(), scores.end());
     const double hi = *std::max_element(scores.begin(), scores.end());
-    const double target = lo + opts.bicThreshold * (hi - lo);
+    const double target = lo + kBicThreshold * (hi - lo);
     size_t chosen = runs.size() - 1;
     for (size_t i = 0; i < runs.size(); ++i) {
         if (scores[i] >= target) {

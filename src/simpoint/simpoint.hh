@@ -58,17 +58,6 @@ struct SimPointOptions
 {
     size_t intervalLength = 2048;
     int maxK = 10;
-    /**
-     * Smallest cluster count considered. On short traces the BIC of
-     * a 30-odd-interval clustering can collapse to one cluster whose
-     * single representative carries a large, configuration-dependent
-     * bias; a small floor keeps several program regions represented.
-     */
-    int minK = 3;
-    size_t projectedDims = 15;
-    /** Accept the smallest k scoring >= this fraction of the best BIC. */
-    double bicThreshold = 0.9;
-    uint64_t seed = 42;
 };
 
 /** Run the SimPoint selection pipeline on a trace. */

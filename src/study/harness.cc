@@ -90,9 +90,8 @@ StudyContext::StudyContext(StudyKind kind, const std::string &app,
     journalStats_ =
         journal_->replay([this](uint64_t index,
                                 const sim::SimResult &result) {
-            auto &shard = shardFor(cache_, index);
-            std::lock_guard<std::mutex> lock(shard.mu);
-            shard.map.emplace(index, result);
+            std::lock_guard<std::mutex> lock(memoMu_);
+            results_.emplace(index, result);
         });
 }
 
@@ -102,11 +101,10 @@ StudyContext::simulateFull(uint64_t index)
     const auto &sm = SimMetrics::get();
     auto &registry = obs::MetricsRegistry::global();
     registry.add(sm.requests);
-    auto &shard = shardFor(cache_, index);
     {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto it = shard.map.find(index);
-        if (it != shard.map.end()) {
+        std::lock_guard<std::mutex> lock(memoMu_);
+        auto it = results_.find(index);
+        if (it != results_.end()) {
             registry.add(sm.memoHits);
             return it->second;
         }
@@ -131,11 +129,11 @@ StudyContext::simulateFull(uint64_t index)
     registry.add(sm.executed);
     executed_.fetch_add(1, std::memory_order_relaxed);
 
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.emplace(index, std::move(*result));
+    std::lock_guard<std::mutex> lock(memoMu_);
+    auto [it, inserted] = results_.emplace(index, std::move(*result));
     // Journal only the winning insert (a lost duplicate is identical
-    // anyway), under the shard lock so the record matches the cached
-    // value and appends for one shard stay ordered.
+    // anyway), under the memo lock so no thread reads the result
+    // before it is durable.
     if (inserted && journal_)
         journal_->append(index, it->second);
     return it->second;
@@ -150,69 +148,42 @@ StudyContext::simulateIpc(uint64_t index)
 size_t
 StudyContext::simulationsRun() const
 {
-    size_t n = 0;
-    for (const auto &shard : cache_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        n += shard.map.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(memoMu_);
+    return results_.size();
 }
 
 std::vector<double>
 StudyContext::simulateBatch(const std::vector<uint64_t> &indices)
 {
-    // Deduplicate and drop cache hits so pool workers only run
-    // distinct missing simulations.
-    std::vector<uint64_t> todo;
-    {
-        std::unordered_set<uint64_t> seen;
-        for (uint64_t idx : indices) {
-            if (!seen.insert(idx).second)
-                continue;
-            auto &shard = shardFor(cache_, idx);
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (!shard.map.count(idx))
-                todo.push_back(idx);
-        }
-    }
-    util::ThreadPool::global().parallelFor(
-        0, todo.size(), [&](size_t i) { simulateFull(todo[i]); });
-
-    std::vector<double> out;
-    out.reserve(indices.size());
-    for (uint64_t idx : indices)
-        out.push_back(simulateFull(idx).ipc);
-    return out;
+    return batch(indices, false);
 }
 
 std::vector<double>
 StudyContext::simulateSimPointBatch(const std::vector<uint64_t> &indices)
 {
-    // Resolve the SimPoint selection and calibration up front so the
-    // parallel region only reads them.
-    simPoints();
-    simPointScale();
+    return batch(indices, true);
+}
 
-    std::vector<uint64_t> todo;
-    {
-        std::unordered_set<uint64_t> seen;
-        for (uint64_t idx : indices) {
-            if (!seen.insert(idx).second)
-                continue;
-            auto &shard = shardFor(simPointCache_, idx);
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (!shard.map.count(idx))
-                todo.push_back(idx);
-        }
-    }
+std::vector<double>
+StudyContext::batch(const std::vector<uint64_t> &indices, bool simpoint)
+{
+    const auto value = [&](uint64_t idx) {
+        return simpoint ? simulateSimPointIpc(idx) : simulateIpc(idx);
+    };
+    // Calibrate (which also selects the SimPoints) up front so the
+    // parallel region only reads the calibration.
+    if (simpoint)
+        simPointScale();
+    // Pool workers run only the distinct missing simulations; the
+    // loop below then reads every index from the memo.
+    const auto todo = missing(indices, simpoint);
     util::ThreadPool::global().parallelFor(
-        0, todo.size(),
-        [&](size_t i) { simulateSimPointIpc(todo[i]); });
+        0, todo.size(), [&](size_t i) { value(todo[i]); });
 
     std::vector<double> out;
     out.reserve(indices.size());
     for (uint64_t idx : indices)
-        out.push_back(simulateSimPointIpc(idx));
+        out.push_back(value(idx));
     return out;
 }
 
@@ -234,9 +205,8 @@ StudyContext::warmStart()
 void
 StudyContext::injectResult(uint64_t index, const sim::SimResult &result)
 {
-    auto &shard = shardFor(cache_, index);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.emplace(index, result);
+    std::lock_guard<std::mutex> lock(memoMu_);
+    auto [it, inserted] = results_.emplace(index, result);
     // Journal the winning insert exactly like a local simulation —
     // the journal records results, not where they were computed.
     if (inserted && journal_)
@@ -246,25 +216,38 @@ StudyContext::injectResult(uint64_t index, const sim::SimResult &result)
 void
 StudyContext::injectSimPointEstimate(uint64_t index, double ipc)
 {
-    auto &shard = shardFor(simPointCache_, index);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.emplace(index, ipc);
+    std::lock_guard<std::mutex> lock(memoMu_);
+    estimates_.emplace(index, ipc);
 }
 
 bool
 StudyContext::hasResult(uint64_t index) const
 {
-    const auto &shard = shardFor(cache_, index);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.count(index) != 0;
+    std::lock_guard<std::mutex> lock(memoMu_);
+    return results_.count(index) != 0;
 }
 
 bool
 StudyContext::hasSimPointEstimate(uint64_t index) const
 {
-    const auto &shard = shardFor(simPointCache_, index);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.count(index) != 0;
+    std::lock_guard<std::mutex> lock(memoMu_);
+    return estimates_.count(index) != 0;
+}
+
+std::vector<uint64_t>
+StudyContext::missing(const std::vector<uint64_t> &indices,
+                      bool simpoint) const
+{
+    std::unordered_set<uint64_t> seen;
+    std::vector<uint64_t> out;
+    std::lock_guard<std::mutex> lock(memoMu_);
+    for (uint64_t idx : indices) {
+        const bool have = simpoint ? estimates_.count(idx) != 0
+                                   : results_.count(idx) != 0;
+        if (!have && seen.insert(idx).second)
+            out.push_back(idx);
+    }
+    return out;
 }
 
 const simpoint::SimPoints &
@@ -317,11 +300,10 @@ StudyContext::simulateSimPointIpc(uint64_t index)
     auto &registry = obs::MetricsRegistry::global();
     registry.add(sm.spRequests);
     const double scale = simPointScale();
-    auto &shard = shardFor(simPointCache_, index);
     {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto it = shard.map.find(index);
-        if (it != shard.map.end()) {
+        std::lock_guard<std::mutex> lock(memoMu_);
+        auto it = estimates_.find(index);
+        if (it != estimates_.end()) {
             registry.add(sm.spMemoHits);
             return it->second;
         }
@@ -334,8 +316,8 @@ StudyContext::simulateSimPointIpc(uint64_t index)
     }
     registry.add(sm.spEstimates);
     const double calibrated = est->ipc * scale;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.emplace(index, calibrated).first->second;
+    std::lock_guard<std::mutex> lock(memoMu_);
+    return estimates_.emplace(index, calibrated).first->second;
 }
 
 std::vector<uint64_t>

@@ -9,7 +9,6 @@
 #ifndef DSE_STUDY_HARNESS_HH
 #define DSE_STUDY_HARNESS_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -38,12 +37,14 @@ namespace study {
  * SimOptions::warmCaches) so short synthetic traces behave like the
  * paper's long MinneSPEC runs.
  *
- * Thread safety: the memoization caches are sharded by index with one
- * mutex per shard, so simulateFull/simulateIpc/simulateSimPointIpc
- * (and the batch variants, which fan out on the global ThreadPool)
- * may be called concurrently. Simulation itself is a pure function of
- * (trace, config), so concurrent evaluation is bit-identical to
- * serial regardless of thread count or interleaving.
+ * Thread safety: one mutex guards both memo maps, so
+ * simulateFull/simulateIpc/simulateSimPointIpc (and the batch
+ * variants, which fan out on the global ThreadPool) may be called
+ * concurrently. The lock covers single hash operations only; every
+ * simulation runs outside it and takes milliseconds, so one lock does
+ * not contend. Simulation itself is a pure function of (trace,
+ * config), so concurrent evaluation is bit-identical to serial
+ * regardless of thread count or interleaving.
  *
  * Crash safety: with a journal attached (explicit path, or the
  * DSE_JOURNAL environment variable — "{study}" and "{app}"
@@ -128,6 +129,14 @@ class StudyContext
 
     /// @}
 
+    /**
+     * The distinct indices of @p indices with no memoized detailed
+     * result (SimPoint estimate when @p simpoint), in input order:
+     * what a batch over @p indices still has to simulate.
+     */
+    std::vector<uint64_t> missing(const std::vector<uint64_t> &indices,
+                                  bool simpoint) const;
+
     /** Number of distinct detailed simulations performed so far
      *  (memoized results, including any replayed from a journal). */
     size_t simulationsRun() const;
@@ -173,32 +182,10 @@ class StudyContext
     double simulateSimPointIpc(uint64_t index);
 
   private:
-    /** Mutex-sharded memoization map (values are never mutated after
-     *  insertion, and unordered_map never invalidates references, so
-     *  returned references stay valid under concurrent inserts). */
-    template <typename V>
-    struct CacheShard
-    {
-        mutable std::mutex mu;
-        std::unordered_map<uint64_t, V> map;
-    };
-    static constexpr size_t kCacheShards = 16;
-
-    template <typename V>
-    static CacheShard<V> &
-    shardFor(std::array<CacheShard<V>, kCacheShards> &shards,
-             uint64_t index)
-    {
-        return shards[index % kCacheShards];
-    }
-
-    template <typename V>
-    static const CacheShard<V> &
-    shardFor(const std::array<CacheShard<V>, kCacheShards> &shards,
-             uint64_t index)
-    {
-        return shards[index % kCacheShards];
-    }
+    /** The one batch path behind simulateBatch and
+     *  simulateSimPointBatch. */
+    std::vector<double> batch(const std::vector<uint64_t> &indices,
+                              bool simpoint);
 
     /** Calibrate (once) and return the SimPoint IPC scale factor. */
     double simPointScale();
@@ -207,8 +194,12 @@ class StudyContext
     std::string app_;
     ml::DesignSpace space_;
     workload::Trace trace_;
-    std::array<CacheShard<sim::SimResult>, kCacheShards> cache_;
-    std::array<CacheShard<double>, kCacheShards> simPointCache_;
+    /** Guards results_ and estimates_. Values are never mutated after
+     *  insertion, and unordered_map never invalidates references, so
+     *  returned references stay valid under concurrent inserts. */
+    mutable std::mutex memoMu_;
+    std::unordered_map<uint64_t, sim::SimResult> results_;
+    std::unordered_map<uint64_t, double> estimates_;  ///< SimPoint IPCs
     std::mutex simPointMu_;  ///< guards simPoints_ / simPointScale_
     std::unique_ptr<simpoint::SimPoints> simPoints_;
     double simPointScale_ = 0.0;  ///< lazily calibrated; 0 = not yet

@@ -106,15 +106,6 @@ Rng::gaussian(double mean, double sd)
     return mean + sd * gaussian();
 }
 
-int
-Rng::burstLength(double p, int max_len)
-{
-    int len = 1;
-    while (len < max_len && chance(p))
-        ++len;
-    return len;
-}
-
 std::vector<uint64_t>
 Rng::sampleWithoutReplacement(uint64_t n, uint64_t k)
 {
@@ -146,33 +137,6 @@ Rng::sampleWithoutReplacement(uint64_t n, uint64_t k)
         }
     }
     return out;
-}
-
-size_t
-Rng::weightedIndex(const std::vector<double> &weights)
-{
-    assert(!weights.empty());
-    double total = 0.0;
-    for (double w : weights) {
-        assert(w >= 0.0);
-        total += w;
-    }
-    if (total <= 0.0)
-        return static_cast<size_t>(below(weights.size()));
-
-    double r = uniform() * total;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        r -= weights[i];
-        if (r < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next());
 }
 
 } // namespace dse

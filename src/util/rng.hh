@@ -73,9 +73,6 @@ class Rng
     /** Normal deviate with the given mean and standard deviation. */
     double gaussian(double mean, double sd);
 
-    /** Geometric-ish burst length in [1, max_len] with decay p. */
-    int burstLength(double p, int max_len);
-
     /** Fisher-Yates shuffle of a vector in place. */
     template <typename T>
     void
@@ -93,12 +90,6 @@ class Rng
      * back to shuffling when k is a large fraction of n.
      */
     std::vector<uint64_t> sampleWithoutReplacement(uint64_t n, uint64_t k);
-
-    /** Draw an index from an (unnormalized) non-negative weight vector. */
-    size_t weightedIndex(const std::vector<double> &weights);
-
-    /** Fork a child generator with a decorrelated seed. */
-    Rng fork();
 
   private:
     uint64_t s_[4];

@@ -79,16 +79,6 @@ class ThreadPool
     void parallelFor(size_t begin, size_t end,
                      const std::function<void(size_t)> &fn);
 
-    /** parallelFor producing a result vector: out[i] = fn(i). */
-    template <typename T>
-    std::vector<T>
-    parallelMap(size_t n, const std::function<T(size_t)> &fn)
-    {
-        std::vector<T> out(n);
-        parallelFor(0, n, [&](size_t i) { out[i] = fn(i); });
-        return out;
-    }
-
     /** DSE_THREADS when set (>0), else hardware concurrency (>=1). */
     static size_t configuredThreads();
 

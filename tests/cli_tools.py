@@ -4,9 +4,10 @@
 Checks the contract every tool shares:
 
 * ``--help`` exits 0; bad usage exits 1; invalid input exits 2; a
-  failed port-file write exits 3;
+  failed port-file or report write exits 3;
 * a ``dse_serve`` daemon answers a ``dse_loadgen`` run, and both exit 0
-  once the daemon gets SIGTERM;
+  once the daemon gets SIGTERM; a port file with trailing garbage is
+  invalid input to ``dse_loadgen``;
 * an exploration fed by a ``dse_simworker`` prints the same per-round
   estimates as the same exploration simulated locally.
 
@@ -51,9 +52,11 @@ CASES = [
     # simulated around.
     (INVALID, "dse_explore", EXPLORE + ["--workers=127.0.0.1:7081x"]),
 ]
+# /dev/full takes no byte: a write to it must fail loudly.
+HAVE_DEV_FULL = os.path.exists("/dev/full")
 # A daemon that cannot write its port file must say so, not serve on
 # a port no script can learn.
-if os.path.exists("/dev/full"):
+if HAVE_DEV_FULL:
     CASES.append((RUNTIME, "dse_simworker", ["--port-file=/dev/full"]))
 
 # A case that should be refused but runs as a daemon is cut after
@@ -140,7 +143,7 @@ def estimates(stdout):
 
 def check_serve_and_loadgen(tools, scratch):
     port_file = os.path.join(scratch, "serve.port")
-    serve, _ = tools.start_daemon(
+    serve, port = tools.start_daemon(
         "dse_serve", port_file,
         ["--study=processor", "--app=gzip", "--train", "--max-sims=20",
          "--max-epochs=50"])
@@ -148,6 +151,17 @@ def check_serve_and_loadgen(tools, scratch):
         tools.expect(OK, "dse_loadgen",
                      ["--port-file=" + port_file, "--connections=2",
                       "--requests=50"])
+        # The port must parse whole, not stop at the garbage.
+        garbled = os.path.join(scratch, "garbled.port")
+        with open(garbled, "w") as fh:
+            fh.write("%dabc\n" % port)
+        tools.expect(INVALID, "dse_loadgen",
+                     ["--port-file=" + garbled, "--requests=5"])
+        # A report that cannot be written is a failed run.
+        if HAVE_DEV_FULL:
+            tools.expect(RUNTIME, "dse_loadgen",
+                         ["--port-file=" + port_file, "--requests=5",
+                          "--json=/dev/full"])
     finally:
         tools.stop_daemon("dse_serve", serve)
 

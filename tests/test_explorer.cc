@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "ml/explorer.hh"
 
@@ -122,6 +123,41 @@ TEST(Explorer, ExhaustsSpaceGracefully)
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->totalSamples, 36u);
     EXPECT_FALSE(ex.step().has_value());
+}
+
+TEST(Explorer, SimulatorThrowLeavesNoPartialRound)
+{
+    DesignSpace small;
+    small.addCardinal("a", {1, 2, 3, 4, 5, 6, 7, 8});
+    small.addCardinal("b", {1, 2, 3, 4});  // 32 points
+    auto opts = fastOptions();
+    opts.batchSize = 10;
+    opts.targetMeanPct = 0.0;
+    opts.train.folds = 5;
+    size_t calls = 0;
+    Explorer ex(small,
+                [&](uint64_t i) {
+                    // Fails in round two, after three of its points.
+                    if (++calls == 14)
+                        throw std::runtime_error("simulator failed");
+                    return 1.0 + 0.1 * static_cast<double>(i % 7);
+                },
+                opts);
+    ASSERT_TRUE(ex.step().has_value());
+    const std::vector<uint64_t> first = ex.sampledIndices();
+    EXPECT_THROW(ex.step(), std::runtime_error);
+    EXPECT_EQ(ex.sampledIndices(), first);
+    EXPECT_EQ(ex.data().size(), first.size());
+
+    // The failed round's points went back to the pool: running on
+    // samples the whole space, each point once, each with its value.
+    while (ex.step())
+        EXPECT_EQ(ex.data().size(), ex.sampledIndices().size());
+    const auto &sampled = ex.sampledIndices();
+    EXPECT_EQ(std::set<uint64_t>(sampled.begin(), sampled.end()).size(),
+              small.size());
+    EXPECT_EQ(sampled.size(), small.size());
+    EXPECT_EQ(ex.data().size(), small.size());
 }
 
 TEST(Explorer, TrueErrorImprovesWithMoreRounds)

@@ -491,7 +491,7 @@ TEST_F(FaultsTraining, InjectedDivergenceRetriesDeterministically)
     for (const auto &w : model.warnings()) {
         EXPECT_GE(w.fold, 0);
         EXPECT_LT(w.fold, opts.folds);
-        EXPECT_EQ(w.attempts, 1 + opts.foldRetries);
+        EXPECT_EQ(w.attempts, 1 + ml::kFoldRetries);
         EXPECT_FALSE(w.message.empty());
     }
     // The survivors predict finite, sane values.
@@ -624,7 +624,7 @@ TEST_F(FaultsTraining, MultiTaskDropsAFoldAndWidensItsEstimate)
     const auto model = ml::trainMultiTaskEnsemble(two, opts);
     ASSERT_EQ(model.warnings().size(), 1u);
     EXPECT_EQ(model.warnings()[0].fold, 0);
-    EXPECT_EQ(model.warnings()[0].attempts, 1 + opts.foldRetries);
+    EXPECT_EQ(model.warnings()[0].attempts, 1 + ml::kFoldRetries);
     EXPECT_EQ(model.members(), k - 1);
     EXPECT_TRUE(std::isfinite(model.estimate().meanPct));
 

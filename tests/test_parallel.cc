@@ -9,7 +9,7 @@
  * execution at any thread count. Each case below computes the same
  * quantity with the global pool set to 1, 2, and 8 threads and
  * compares exactly (no tolerances), plus a stress test hammering the
- * sharded memoization cache from concurrent batches. The ThreadPoolTest
+ * memoization cache from concurrent batches. The ThreadPoolTest
  * cases pin the pool's own contract: concurrent callers share its
  * workers, and only its own nested calls run inline.
  */
@@ -70,16 +70,6 @@ TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce)
                      [&](size_t i) { hits[i] += 1; });
     for (size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i], 1) << i;
-}
-
-TEST(ThreadPoolTest, ParallelMapPreservesOrder)
-{
-    ThreadPool pool(4);
-    const auto out = pool.parallelMap<size_t>(
-        257, [](size_t i) { return i * i; });
-    ASSERT_EQ(out.size(), 257u);
-    for (size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], i * i);
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsANoOp)
@@ -286,7 +276,7 @@ TEST(ParallelDeterminism, SimulateBatchBitIdenticalAcrossThreadCounts)
 {
     // The same indices simulated at 1/2/8 threads must give the same
     // bits: simulation is a pure function of the design point, and
-    // the sharded cache only memoizes.
+    // the memo cache only memoizes.
     std::vector<uint64_t> indices;
     {
         Rng rng(0x5eed);

@@ -194,45 +194,6 @@ TEST(Rng, SampleWithoutReplacementRejectsOversample)
                  std::invalid_argument);
 }
 
-TEST(Rng, WeightedIndexRespectsWeights)
-{
-    Rng rng(53);
-    std::vector<double> w{0.0, 10.0, 0.0};
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(rng.weightedIndex(w), 1u);
-}
-
-TEST(Rng, WeightedIndexProportional)
-{
-    Rng rng(59);
-    std::vector<double> w{1.0, 3.0};
-    int ones = 0;
-    const int n = 40000;
-    for (int i = 0; i < n; ++i)
-        ones += rng.weightedIndex(w) == 1;
-    EXPECT_NEAR(ones / static_cast<double>(n), 0.75, 0.02);
-}
-
-TEST(Rng, ForkDecorrelates)
-{
-    Rng a(61);
-    Rng b = a.fork();
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += a.next() == b.next();
-    EXPECT_LT(same, 4);
-}
-
-TEST(Rng, BurstLengthBounded)
-{
-    Rng rng(67);
-    for (int i = 0; i < 1000; ++i) {
-        const int len = rng.burstLength(0.9, 16);
-        EXPECT_GE(len, 1);
-        EXPECT_LE(len, 16);
-    }
-}
-
 /** Property sweep: determinism and bounds across seeds. */
 class RngSeedTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -15,8 +15,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,24 +87,33 @@ percentile(std::vector<uint64_t> &sorted, double p)
         static_cast<double>(sorted[hi]) * frac;
 }
 
+/** The port in a daemon's port file: its whole text, but for one
+ *  trailing newline, is an integer in [1, 65535]. */
+uint16_t
+readPortFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        throw std::invalid_argument("cannot read port file " + path);
+    std::string text{std::istreambuf_iterator<char>(in), {}};
+    if (!text.empty() && text.back() == '\n')
+        text.pop_back();
+    unsigned port = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, port);
+    if (ec != std::errc() || stop != end || port < 1 || port > 65535)
+        throw std::invalid_argument("port file " + path + " holds '" +
+                                    text + "', not a port in [1, 65535]");
+    return static_cast<uint16_t>(port);
+}
+
 int
 generateLoad(Options opts)
 {
     if (opts.connections == 0 || opts.points == 0)
         throw cli::UsageError("--connections/--points must be > 0");
-    if (!opts.portFile.empty()) {
-        FILE *f = std::fopen(opts.portFile.c_str(), "r");
-        if (!f)
-            throw std::invalid_argument("cannot read port file " +
-                                        opts.portFile);
-        unsigned p = 0;
-        if (std::fscanf(f, "%u", &p) != 1 || p == 0 || p > 65535) {
-            std::fclose(f);
-            throw std::invalid_argument("bad port file contents");
-        }
-        std::fclose(f);
-        opts.port = static_cast<uint16_t>(p);
-    }
+    if (!opts.portFile.empty())
+        opts.port = readPortFile(opts.portFile);
     if (opts.port == 0)
         throw std::invalid_argument("--port or --port-file required");
 
@@ -286,7 +300,7 @@ generateLoad(Options opts)
         const std::string name = opts.range > 0
             ? "serve/predict_range/" + std::to_string(opts.range)
             : "serve/predict_points/" + std::to_string(opts.points);
-        std::fprintf(
+        const int written = std::fprintf(
             f,
             "{\n"
             "  \"context\": {\n"
@@ -323,7 +337,9 @@ generateLoad(Options opts)
             static_cast<unsigned long long>(disconnects),
             static_cast<unsigned long long>(connect_failures),
             static_cast<unsigned long long>(errors));
-        std::fclose(f);
+        if (std::fclose(f) != 0 || written < 0)
+            throw std::runtime_error("cannot write " + opts.jsonPath +
+                                     ": " + std::strerror(errno));
         std::printf("report written to %s\n", opts.jsonPath.c_str());
     }
     if (requests == 0) {
