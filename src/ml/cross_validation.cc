@@ -21,30 +21,13 @@ namespace ml {
 namespace {
 
 /** Training-stage metrics (DESIGN.md "Observability"). */
-struct TrainMetrics
-{
-    obs::CounterId ensembles, epochs, foldsTrained, foldRetries,
-        divergences, foldsDropped;
-    obs::HistogramId foldWallNs;
-
-    static const TrainMetrics &
-    get()
-    {
-        static const TrainMetrics m = [] {
-            auto &r = obs::MetricsRegistry::global();
-            TrainMetrics t;
-            t.ensembles = r.counter("train.ensembles");
-            t.epochs = r.counter("train.epochs");
-            t.foldsTrained = r.counter("train.folds_trained");
-            t.foldRetries = r.counter("train.fold_retries");
-            t.divergences = r.counter("train.divergences");
-            t.foldsDropped = r.counter("train.folds_dropped");
-            t.foldWallNs = r.histogram("train.fold_wall_ns");
-            return t;
-        }();
-        return m;
-    }
-};
+const obs::Counter kEnsembles("train.ensembles");
+const obs::Counter kEpochs("train.epochs");
+const obs::Counter kFoldsTrained("train.folds_trained");
+const obs::Counter kFoldRetryCount("train.fold_retries");
+const obs::Counter kDivergences("train.divergences");
+const obs::Counter kFoldsDropped("train.folds_dropped");
+const obs::Histogram kFoldWallNs("train.fold_wall_ns");
 
 /**
  * Cumulative presentation weights for one fold's training rows
@@ -472,8 +455,6 @@ trainFolds(const std::vector<std::vector<double>> &x,
         const double explosion_bound =
             100.0 * static_cast<double>(n_rows * outs);
 
-        const auto &tm = TrainMetrics::get();
-        auto &registry = obs::MetricsRegistry::global();
         const double base_lr = opts.ann.learningRate;
         for (int epoch = 0; epoch < opts.maxEpochs; ++epoch) {
             if (opts.ann.decayEpochs > 0.0) {
@@ -489,7 +470,7 @@ trainFolds(const std::vector<std::vector<double>> &x,
                 order[p] = static_cast<uint32_t>(drawRow(cdf, fold_rng));
             const double epoch_sq = net.trainEpoch(
                 fold_x.data(), fold_t.data(), order.data(), n_rows);
-            registry.add(tm.epochs);
+            kEpochs.add();
             if (net.diverged() || !std::isfinite(epoch_sq) ||
                 epoch_sq > explosion_bound) {
                 return std::optional<Ann>();
@@ -523,9 +504,7 @@ trainFolds(const std::vector<std::vector<double>> &x,
     };
 
     auto train_fold = [&](size_t mi) {
-        const auto &tm = TrainMetrics::get();
-        auto &registry = obs::MetricsRegistry::global();
-        obs::TraceScope span("train-fold", tm.foldWallNs);
+        obs::TraceScope span("train-fold", kFoldWallNs);
         constexpr int attempts_allowed = 1 + kFoldRetries;
         // Retry seeds derive from the fold seed, not a shared
         // counter, so recovery is deterministic at any thread count.
@@ -534,7 +513,7 @@ trainFolds(const std::vector<std::vector<double>> &x,
 
         for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
             if (attempt > 0)
-                registry.add(tm.foldRetries);
+                kFoldRetryCount.add();
             const uint64_t seed =
                 attempt == 0 ? fold_seeds[mi] : reseeder.next();
             // Injection site "fold": a fired probe stands in for a
@@ -547,7 +526,7 @@ trainFolds(const std::vector<std::vector<double>> &x,
                 net = attempt_fold(mi, seed, attempt > 0);
             }
             if (!net) {
-                registry.add(tm.divergences);
+                kDivergences.add();
                 continue;
             }
 
@@ -558,10 +537,10 @@ trainFolds(const std::vector<std::vector<double>> &x,
                 fold_pct_errors[mi].push_back(percentageError(pred, y[row]));
             }
             slots[mi].emplace(std::move(*net));
-            registry.add(tm.foldsTrained);
+            kFoldsTrained.add();
             return;
         }
-        registry.add(tm.foldsDropped);
+        kFoldsDropped.add();
         warn_slots[mi] = TrainWarning{
             static_cast<int>(mi), attempts_allowed,
             "fold " + std::to_string(mi) + " diverged on all " +
@@ -569,7 +548,7 @@ trainFolds(const std::vector<std::vector<double>> &x,
                 " initializations; dropped from the ensemble"};
     };
 
-    obs::MetricsRegistry::global().add(TrainMetrics::get().ensembles);
+    kEnsembles.add();
     util::ThreadPool::global().parallelFor(0, static_cast<size_t>(k),
                                            train_fold);
 

@@ -13,31 +13,14 @@ namespace ml {
 namespace {
 
 /** Exploration-stage metrics (DESIGN.md "Observability"). */
-struct ExploreMetrics
-{
-    obs::CounterId rounds, pointsSimulated, pointsPredicted,
-        pointsScored, scoreChunks;
-    obs::HistogramId encodeWallNs, predictWallNs, scoreWallNs;
-
-    static const ExploreMetrics &
-    get()
-    {
-        static const ExploreMetrics m = [] {
-            auto &r = obs::MetricsRegistry::global();
-            ExploreMetrics e;
-            e.rounds = r.counter("explore.rounds");
-            e.pointsSimulated = r.counter("explore.points_simulated");
-            e.pointsPredicted = r.counter("explore.points_predicted");
-            e.pointsScored = r.counter("explore.points_scored");
-            e.scoreChunks = r.counter("explore.score_chunks");
-            e.encodeWallNs = r.histogram("explore.encode_wall_ns");
-            e.predictWallNs = r.histogram("explore.predict_wall_ns");
-            e.scoreWallNs = r.histogram("explore.score_wall_ns");
-            return e;
-        }();
-        return m;
-    }
-};
+const obs::Counter kRounds("explore.rounds");
+const obs::Counter kPointsSimulated("explore.points_simulated");
+const obs::Counter kPointsPredicted("explore.points_predicted");
+const obs::Counter kPointsScored("explore.points_scored");
+const obs::Counter kScoreChunks("explore.score_chunks");
+const obs::Histogram kEncodeWallNs("explore.encode_wall_ns");
+const obs::Histogram kPredictWallNs("explore.predict_wall_ns");
+const obs::Histogram kScoreWallNs("explore.score_wall_ns");
 
 } // namespace
 
@@ -96,12 +79,9 @@ Explorer::pickBatch(size_t n)
             draw_unseen(std::max(n, opts_.candidatePool));
         std::vector<double> spread;
         {
-            const auto &em = ExploreMetrics::get();
-            obs::TraceScope span("score", em.scoreWallNs);
-            auto &registry = obs::MetricsRegistry::global();
-            registry.add(em.pointsScored, pool.size());
-            registry.add(em.scoreChunks,
-                         (pool.size() + Ensemble::kScoreChunk - 1) /
+            obs::TraceScope span("score", kScoreWallNs);
+            kPointsScored.add(pool.size());
+            kScoreChunks.add((pool.size() + Ensemble::kScoreChunk - 1) /
                              Ensemble::kScoreChunk);
             // Blocked committee scoring: bit-identical per point to
             // memberSpread(space_.encodeIndex(i)) at any thread count.
@@ -169,10 +149,8 @@ Explorer::step()
         throw;
     }
 
-    const auto &em = ExploreMetrics::get();
-    auto &registry = obs::MetricsRegistry::global();
-    registry.add(em.rounds);
-    registry.add(em.pointsSimulated, batch.size());
+    kRounds.add();
+    kPointsSimulated.add(batch.size());
 
     // Encode the whole batch into one contiguous [batch x
     // encodedWidth] buffer filled by encodeIndexInto — no per-point
@@ -180,7 +158,7 @@ Explorer::step()
     const size_t width = static_cast<size_t>(space_.encodedWidth());
     std::vector<double> features(batch.size() * width);
     {
-        obs::TraceScope span("encode", em.encodeWallNs);
+        obs::TraceScope span("encode", kEncodeWallNs);
         for (size_t i = 0; i < batch.size(); ++i)
             space_.encodeIndexInto(batch[i], features.data() + i * width);
     }
@@ -240,10 +218,8 @@ Explorer::predictIndex(uint64_t index) const
 std::vector<double>
 Explorer::predictIndices(const std::vector<uint64_t> &indices) const
 {
-    const auto &em = ExploreMetrics::get();
-    obs::TraceScope span("predict", em.predictWallNs);
-    obs::MetricsRegistry::global().add(em.pointsPredicted,
-                                       indices.size());
+    obs::TraceScope span("predict", kPredictWallNs);
+    kPointsPredicted.add(indices.size());
     // Batched, parallel, and bit-identical to a predictIndex loop.
     return ensemble().predictIndices(space_, indices);
 }
@@ -251,9 +227,8 @@ Explorer::predictIndices(const std::vector<uint64_t> &indices) const
 std::vector<double>
 Explorer::predictRange(uint64_t first, size_t count) const
 {
-    const auto &em = ExploreMetrics::get();
-    obs::TraceScope span("predict", em.predictWallNs);
-    obs::MetricsRegistry::global().add(em.pointsPredicted, count);
+    obs::TraceScope span("predict", kPredictWallNs);
+    kPointsPredicted.add(count);
     return ensemble().predictRange(space_, first, count);
 }
 

@@ -17,31 +17,14 @@ namespace remote {
 
 namespace {
 
-/** remote.* instrumentation (metrics.hh registration idiom). */
-struct RemoteMetrics
-{
-    obs::CounterId dispatched, completed, retries, hedges;
-    obs::CounterId redispatches, fallbacks;
-    obs::HistogramId batchWallNs;
-
-    static const RemoteMetrics &
-    get()
-    {
-        static const RemoteMetrics m = [] {
-            auto &r = obs::MetricsRegistry::global();
-            RemoteMetrics s;
-            s.dispatched = r.counter("remote.dispatched");
-            s.completed = r.counter("remote.completed");
-            s.retries = r.counter("remote.retries");
-            s.hedges = r.counter("remote.hedges");
-            s.redispatches = r.counter("remote.redispatches");
-            s.fallbacks = r.counter("remote.fallbacks");
-            s.batchWallNs = r.histogram("remote.batch_wall_ns");
-            return s;
-        }();
-        return m;
-    }
-};
+/** remote.* instrumentation (DESIGN.md "Observability"). */
+const obs::Counter kDispatched("remote.dispatched");
+const obs::Counter kCompleted("remote.completed");
+const obs::Counter kRetries("remote.retries");
+const obs::Counter kHedges("remote.hedges");
+const obs::Counter kRedispatches("remote.redispatches");
+const obs::Counter kFallbacks("remote.fallbacks");
+const obs::Histogram kBatchWallNs("remote.batch_wall_ns");
 
 /** Half-open probe (Ping) interval while a worker's breaker is open. */
 constexpr int kProbeIntervalMs = 100;
@@ -132,6 +115,12 @@ struct RemoteDispatcher::Worker
     obs::HistogramId latency;       ///< per-worker wall time
 };
 
+RemoteDispatcher::Counts::Counts()
+    : dispatched(kDispatched), completed(kCompleted), retries(kRetries),
+      hedges(kHedges), redispatches(kRedispatches), fallbacks(kFallbacks)
+{
+}
+
 RemoteDispatcher::RemoteDispatcher(study::StudyContext &ctx,
                                    DispatcherOptions opts)
     : ctx_(ctx), opts_(std::move(opts))
@@ -185,12 +174,12 @@ DispatchStats
 RemoteDispatcher::stats() const
 {
     DispatchStats s;
-    s.dispatched = counters_.dispatched.load();
-    s.completed = counters_.completed.load();
-    s.retries = counters_.retries.load();
-    s.hedges = counters_.hedges.load();
-    s.redispatches = counters_.redispatches.load();
-    s.fallbacks = counters_.fallbacks.load();
+    s.dispatched = counts_.dispatched.value();
+    s.completed = counts_.completed.value();
+    s.retries = counts_.retries.value();
+    s.hedges = counts_.hedges.value();
+    s.redispatches = counts_.redispatches.value();
+    s.fallbacks = counts_.fallbacks.value();
     return s;
 }
 
@@ -235,9 +224,6 @@ RemoteDispatcher::prefetch(const std::vector<uint64_t> &indices)
     }
     workCv_.notify_all();
 
-    auto &registry = obs::MetricsRegistry::global();
-    const auto &rm = RemoteMetrics::get();
-
     // Coordinator loop: wait for completion, hedge stragglers, and
     // escalate to local fallback when every breaker is open. Attempts
     // are deadline-bounded (serve::Client), retries are capped, and
@@ -263,8 +249,7 @@ RemoteDispatcher::prefetch(const std::vector<uint64_t> &indices)
                     // first reply wins (done flag), the loser's answer
                     // is dropped by the dedup in attempt().
                     task->hedgedThisAttempt = true;
-                    counters_.hedges.fetch_add(1);
-                    registry.add(rm.hedges);
+                    counts_.hedges.add();
                     queue_.push_back(task);
                     workCv_.notify_all();
                 }
@@ -313,8 +298,7 @@ RemoteDispatcher::failTask(const std::shared_ptr<Task> &task)
     if (!task->settled) {
         task->settled = true;
         --outstanding_;
-        counters_.fallbacks.fetch_add(1);
-        obs::MetricsRegistry::global().add(RemoteMetrics::get().fallbacks);
+        counts_.fallbacks.add();
         doneCv_.notify_all();
     }
 }
@@ -335,8 +319,6 @@ void
 RemoteDispatcher::workerLoop(size_t wi)
 {
     auto &w = *workers_[wi];
-    auto &registry = obs::MetricsRegistry::global();
-    const auto &rm = RemoteMetrics::get();
 
     for (;;) {
         std::shared_ptr<Task> task;
@@ -446,13 +428,11 @@ RemoteDispatcher::workerLoop(size_t wi)
                 if (task->attempt >= opts_.maxAttempts) {
                     failTask(task);
                 } else {
-                    counters_.retries.fetch_add(1);
-                    registry.add(rm.retries);
+                    counts_.retries.add();
                     if (outcome == Outcome::Disconnected) {
                         // The worker died with this batch in flight;
                         // it goes back on the queue for someone else.
-                        counters_.redispatches.fetch_add(1);
-                        registry.add(rm.redispatches);
+                        counts_.redispatches.add();
                     }
                     const int delay = backoffDelayMs(
                         kBackoffSeed, task->key, task->attempt,
@@ -471,10 +451,7 @@ bool
 RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
 {
     auto &w = *workers_[wi];
-    auto &registry = obs::MetricsRegistry::global();
-    const auto &rm = RemoteMetrics::get();
-    counters_.dispatched.fetch_add(1);
-    registry.add(rm.dispatched);
+    counts_.dispatched.add();
 
     // Client-side chaos: a dropped connection, keyed per batch so the
     // decision is deterministic at any thread count.
@@ -516,13 +493,12 @@ RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
             for (size_t i = 0; i < task->indices.size(); ++i)
                 ctx_.injectResult(task->indices[i], reply.results[i]);
         }
-        counters_.completed.fetch_add(1);
-        registry.add(rm.completed);
+        counts_.completed.add();
     }
 
     const uint64_t wall = nowNs() - t0;
-    registry.observe(rm.batchWallNs, wall);
-    registry.observe(w.latency, wall);
+    kBatchWallNs.observe(wall);
+    obs::MetricsRegistry::global().observe(w.latency, wall);
     return true;
 }
 

@@ -40,7 +40,6 @@
 #ifndef DSE_REMOTE_DISPATCHER_HH
 #define DSE_REMOTE_DISPATCHER_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -51,6 +50,7 @@
 #include <vector>
 
 #include "study/harness.hh"
+#include "util/metrics.hh"
 
 namespace dse {
 namespace remote {
@@ -92,7 +92,8 @@ struct DispatcherOptions
     bool simpoint = false;
 };
 
-/** Dispatch counter snapshot (mirrored into remote.* obs metrics). */
+/** Dispatch counts of one dispatcher. Each field reads the owned
+ *  counter that also feeds the remote.* metric of the same name. */
 struct DispatchStats
 {
     uint64_t dispatched = 0;    ///< batch attempts sent (incl. hedges)
@@ -172,16 +173,14 @@ class RemoteDispatcher
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
 
-    struct Counters
+    /** The counts behind stats(); each feeds its remote.* metric. */
+    struct Counts
     {
-        std::atomic<uint64_t> dispatched{0};
-        std::atomic<uint64_t> completed{0};
-        std::atomic<uint64_t> retries{0};
-        std::atomic<uint64_t> hedges{0};
-        std::atomic<uint64_t> redispatches{0};
-        std::atomic<uint64_t> fallbacks{0};
+        Counts();
+        obs::OwnedCounter dispatched, completed, retries, hedges,
+            redispatches, fallbacks;
     };
-    Counters counters_;
+    Counts counts_;
 };
 
 } // namespace remote

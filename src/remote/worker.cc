@@ -14,28 +14,14 @@ namespace remote {
 
 namespace {
 
-struct WorkerMetrics
-{
-    obs::CounterId batches, points;
-
-    static const WorkerMetrics &
-    get()
-    {
-        static const WorkerMetrics m = [] {
-            auto &r = obs::MetricsRegistry::global();
-            WorkerMetrics w;
-            w.batches = r.counter("remote.worker_batches");
-            w.points = r.counter("remote.worker_points");
-            return w;
-        }();
-        return m;
-    }
-};
+/** Simulation-worker metrics (DESIGN.md "Observability"). */
+const obs::Counter kBatches("remote.worker_batches");
+const obs::Counter kPoints("remote.worker_points");
 
 } // namespace
 
-SimWorker::SimWorker(SimWorkerOptions opts) : opts_(std::move(opts)),
-                                              server_(opts_.server)
+SimWorker::SimWorker(SimWorkerOptions opts)
+    : opts_(std::move(opts)), server_(opts_.server), batches_(kBatches)
 {
     server_.setSimulateHandler(
         [this](const serve::SimulateBatchRequest &req,
@@ -64,7 +50,7 @@ SimWorker::stop()
 uint64_t
 SimWorker::batchesServed() const
 {
-    return batches_.load(std::memory_order_relaxed);
+    return batches_.value();
 }
 
 std::shared_ptr<study::StudyContext>
@@ -137,10 +123,8 @@ SimWorker::handle(const serve::SimulateBatchRequest &req,
         return serve::SimulateVerdict::BadRequest;
     }
 
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    auto &registry = obs::MetricsRegistry::global();
-    registry.add(WorkerMetrics::get().batches);
-    registry.add(WorkerMetrics::get().points, req.indices.size());
+    batches_.add();
+    kPoints.add(req.indices.size());
     return serve::SimulateVerdict::Reply;
 }
 

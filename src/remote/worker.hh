@@ -39,6 +39,7 @@
 
 #include "serve/server.hh"
 #include "study/harness.hh"
+#include "util/metrics.hh"
 
 namespace dse {
 namespace remote {
@@ -100,7 +101,7 @@ class SimWorker
      *  reuse everything. */
     std::map<std::string, std::shared_ptr<study::StudyContext>> contexts_;
 
-    std::atomic<uint64_t> batches_{0};
+    obs::OwnedCounter batches_;  ///< feeds remote.worker_batches
 };
 
 } // namespace remote

@@ -227,7 +227,9 @@ struct StatsReply
     uint64_t batchedRequests = 0;  ///< requests coalesced into a
                                    ///< shared predictBatch beyond the
                                    ///< first of each group
-    uint64_t overloaded = 0;     ///< requests refused queue-full
+    uint64_t overloaded = 0;     ///< requests refused queue-full,
+                                 ///< plus connections refused at
+                                 ///< maxConnections
     uint64_t protocolErrors = 0; ///< corrupt/oversized/bad frames
     uint64_t bytesRx = 0;
     uint64_t bytesTx = 0;

@@ -28,35 +28,18 @@ namespace serve {
 
 namespace {
 
-/** serve.* instrumentation (metrics.hh registration idiom). */
-struct ServeMetrics
-{
-    obs::CounterId requests, predictions, batched, overloaded;
-    obs::CounterId protocolErrors, bytesRx, bytesTx, connections;
-    obs::HistogramId requestWallNs, batchWallNs, batchPoints;
-
-    static const ServeMetrics &
-    get()
-    {
-        static const ServeMetrics m = [] {
-            auto &r = obs::MetricsRegistry::global();
-            ServeMetrics s;
-            s.requests = r.counter("serve.requests");
-            s.predictions = r.counter("serve.predictions");
-            s.batched = r.counter("serve.batched");
-            s.overloaded = r.counter("serve.overloaded");
-            s.protocolErrors = r.counter("serve.protocol_errors");
-            s.bytesRx = r.counter("serve.bytes_rx");
-            s.bytesTx = r.counter("serve.bytes_tx");
-            s.connections = r.counter("serve.connections");
-            s.requestWallNs = r.histogram("serve.request_wall_ns");
-            s.batchWallNs = r.histogram("serve.batch_wall_ns");
-            s.batchPoints = r.histogram("serve.batch_points");
-            return s;
-        }();
-        return m;
-    }
-};
+/** serve.* instrumentation (DESIGN.md "Observability"). */
+const obs::Counter kRequests("serve.requests");
+const obs::Counter kPredictions("serve.predictions");
+const obs::Counter kBatched("serve.batched");
+const obs::Counter kOverloaded("serve.overloaded");
+const obs::Counter kProtocolErrors("serve.protocol_errors");
+const obs::Counter kBytesRx("serve.bytes_rx");
+const obs::Counter kBytesTx("serve.bytes_tx");
+const obs::Counter kConnections("serve.connections");
+const obs::Histogram kRequestWallNs("serve.request_wall_ns");
+const obs::Histogram kBatchWallNs("serve.batch_wall_ns");
+const obs::Histogram kBatchPoints("serve.batch_points");
 
 /** Close a connection idle (no frame, nothing pending) this long. */
 constexpr uint64_t kIdleTimeoutNs = 30000ull * 1000000ull;
@@ -84,6 +67,14 @@ peekPointCount(const std::string &payload)
 }
 
 } // namespace
+
+Server::Counts::Counts()
+    : requests(kRequests), predictions(kPredictions),
+      batchedRequests(kBatched), overloaded(kOverloaded),
+      protocolErrors(kProtocolErrors), bytesRx(kBytesRx),
+      bytesTx(kBytesTx), connectionsAccepted(kConnections)
+{
+}
 
 Server::Server(ServerOptions opts) : opts_(std::move(opts))
 {
@@ -267,15 +258,15 @@ StatsReply
 Server::statsSnapshot() const
 {
     StatsReply s;
-    s.requests = counters_.requests.load();
-    s.predictions = counters_.predictions.load();
-    s.batchedRequests = counters_.batchedRequests.load();
-    s.overloaded = counters_.overloaded.load();
-    s.protocolErrors = counters_.protocolErrors.load();
-    s.bytesRx = counters_.bytesRx.load();
-    s.bytesTx = counters_.bytesTx.load();
-    s.connectionsAccepted = counters_.connectionsAccepted.load();
-    s.activeConnections = counters_.activeConnections.load();
+    s.requests = counts_.requests.value();
+    s.predictions = counts_.predictions.value();
+    s.batchedRequests = counts_.batchedRequests.value();
+    s.overloaded = counts_.overloaded.value();
+    s.protocolErrors = counts_.protocolErrors.value();
+    s.bytesRx = counts_.bytesRx.value();
+    s.bytesTx = counts_.bytesTx.value();
+    s.connectionsAccepted = counts_.connectionsAccepted.value();
+    s.activeConnections = counts_.activeConnections.load();
     {
         std::lock_guard<std::mutex> lock(queueMu_);
         s.queueDepth = queue_.size();
@@ -396,7 +387,7 @@ Server::acceptPending()
         const int fd = accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             return;  // EAGAIN or transient error: poll again later
-        const uint64_t key = counters_.connectionsAccepted.load();
+        const uint64_t key = counts_.connectionsAccepted.value();
         if (util::FaultInjector::global().shouldFail("serve.accept",
                                                      key)) {
             // Simulated accept failure: the client sees a clean
@@ -405,9 +396,7 @@ Server::acceptPending()
             continue;
         }
         if (conns_.size() >= opts_.maxConnections) {
-            counters_.overloaded.fetch_add(1);
-            obs::MetricsRegistry::global().add(
-                ServeMetrics::get().overloaded);
+            counts_.overloaded.add();
             // Best-effort structured refusal, then close: the frame
             // is small enough to fit any socket buffer.
             const std::string frame = encodeFrame(
@@ -429,9 +418,8 @@ Server::acceptPending()
         conn->id = nextConnId_++;
         conn->lastActivityNs = nowNs();
         conns_.emplace(fd, std::move(conn));
-        counters_.connectionsAccepted.fetch_add(1);
-        counters_.activeConnections.fetch_add(1);
-        obs::MetricsRegistry::global().add(ServeMetrics::get().connections);
+        counts_.connectionsAccepted.add();
+        counts_.activeConnections.fetch_add(1);
     }
 }
 
@@ -450,9 +438,7 @@ Server::handleReadable(const std::shared_ptr<Conn> &conn)
                 closeConn(conn);
                 return;
             }
-            counters_.bytesRx.fetch_add(static_cast<uint64_t>(n));
-            obs::MetricsRegistry::global().add(
-                ServeMetrics::get().bytesRx, static_cast<uint64_t>(n));
+            counts_.bytesRx.add(static_cast<uint64_t>(n));
             conn->rx.append(buf, static_cast<size_t>(n));
             conn->lastActivityNs = nowNs();
             parseFrames(conn);
@@ -498,9 +484,7 @@ Server::parseFrames(const std::shared_ptr<Conn> &conn)
             // Header was authentic: reject exactly this frame and
             // keep serving the connection.
             conn->rx.erase(0, consumed);
-            counters_.protocolErrors.fetch_add(1);
-            obs::MetricsRegistry::global().add(
-                ServeMetrics::get().protocolErrors);
+            counts_.protocolErrors.add();
             sendError(conn, frame.id, ErrCode::BadChecksum,
                       "payload checksum mismatch");
             break;
@@ -508,9 +492,7 @@ Server::parseFrames(const std::shared_ptr<Conn> &conn)
           case DecodeStatus::TooLarge: {
             // The stream itself is untrustworthy: one structured
             // error, then flush-and-close.
-            counters_.protocolErrors.fetch_add(1);
-            obs::MetricsRegistry::global().add(
-                ServeMetrics::get().protocolErrors);
+            counts_.protocolErrors.add();
             const bool too_large = st == DecodeStatus::TooLarge;
             sendError(conn, too_large ? frame.id : 0,
                       too_large ? ErrCode::FrameTooLarge
@@ -533,8 +515,7 @@ Server::dispatchFrame(const std::shared_ptr<Conn> &conn, Frame frame)
                   "not a request type");
         return;
     }
-    counters_.requests.fetch_add(1);
-    obs::MetricsRegistry::global().add(ServeMetrics::get().requests);
+    counts_.requests.add();
 
     switch (frame.type) {
       case MsgType::Ping:
@@ -553,9 +534,7 @@ Server::dispatchFrame(const std::shared_ptr<Conn> &conn, Frame frame)
     {
         std::lock_guard<std::mutex> lock(queueMu_);
         if (queue_.size() >= opts_.queueCapacity) {
-            counters_.overloaded.fetch_add(1);
-            obs::MetricsRegistry::global().add(
-                ServeMetrics::get().overloaded);
+            counts_.overloaded.add();
             sendError(conn, frame.id, ErrCode::Overloaded,
                       "request queue full");
             return;
@@ -586,9 +565,7 @@ Server::flushWritable(const std::shared_ptr<Conn> &conn)
         conn->tx.erase(0, static_cast<size_t>(n));
         conn->writeBlockedSinceNs = 0;
         conn->lastActivityNs = nowNs();
-        counters_.bytesTx.fetch_add(static_cast<uint64_t>(n));
-        obs::MetricsRegistry::global().add(ServeMetrics::get().bytesTx,
-                                           static_cast<uint64_t>(n));
+        counts_.bytesTx.add(static_cast<uint64_t>(n));
     } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                errno != EINTR) {
         lock.unlock();
@@ -647,7 +624,7 @@ Server::closeConn(const std::shared_ptr<Conn> &conn)
     shutdown(conn->fd, SHUT_RDWR);
     close(conn->fd);
     conn->fd = -1;
-    counters_.activeConnections.fetch_sub(1);
+    counts_.activeConnections.fetch_sub(1);
 }
 
 // ---------------------------------------------------------------- replies
@@ -749,10 +726,8 @@ Server::workerLoop()
 void
 Server::handlePredictPoints(std::vector<Request> &group)
 {
-    obs::TraceScope scope("serve-predict-batch",
-                          ServeMetrics::get().batchWallNs);
+    obs::TraceScope scope("serve-predict-batch", kBatchWallNs);
     const auto state = model();
-    auto &registry = obs::MetricsRegistry::global();
 
     // Decode every rider; a malformed member only fails itself.
     struct Decoded
@@ -802,13 +777,10 @@ Server::handlePredictPoints(std::vector<Request> &group)
     // Count before replying: a client that has its reply in hand may
     // immediately ask for Stats, and the counters must already cover
     // every answered prediction (the reconciliation tests rely on it).
-    counters_.predictions.fetch_add(total);
-    registry.add(ServeMetrics::get().predictions, total);
-    registry.observe(ServeMetrics::get().batchPoints, total);
-    if (valid.size() > 1) {
-        counters_.batchedRequests.fetch_add(valid.size() - 1);
-        registry.add(ServeMetrics::get().batched, valid.size() - 1);
-    }
+    counts_.predictions.add(total);
+    kBatchPoints.observe(total);
+    if (valid.size() > 1)
+        counts_.batchedRequests.add(valid.size() - 1);
 
     size_t off = 0;
     for (const auto &d : valid) {
@@ -825,8 +797,7 @@ Server::handlePredictPoints(std::vector<Request> &group)
 void
 Server::handleOne(const Request &req)
 {
-    obs::TraceScope scope("serve-request",
-                          ServeMetrics::get().requestWallNs);
+    obs::TraceScope scope("serve-request", kRequestWallNs);
     switch (req.frame.type) {
       case MsgType::PredictRange: {
         PredictRangeRequest range;
@@ -860,9 +831,7 @@ Server::handleOne(const Request &req)
         PredictionsReply reply;
         reply.y = state->ensemble->predictRange(*state->space, range.first,
                                                 range.count);
-        counters_.predictions.fetch_add(reply.y.size());
-        obs::MetricsRegistry::global().add(
-            ServeMetrics::get().predictions, reply.y.size());
+        counts_.predictions.add(reply.y.size());
         sendReply(req.conn, MsgType::Predictions, req.frame.id,
                   reply.encode());
         return;

@@ -52,6 +52,7 @@
 #include "ml/encoding.hh"
 #include "serve/protocol.hh"
 #include "study/spaces.hh"
+#include "util/metrics.hh"
 
 namespace dse {
 namespace serve {
@@ -265,20 +266,17 @@ class Server
     std::thread ioThread_;
     std::vector<std::thread> workers_;  ///< each runs workerLoop()
 
-    // Counters behind Stats (atomics; obs mirrors are separate).
-    struct Counters
+    /** The counts behind Stats; each feeds its serve.* metric. */
+    struct Counts
     {
-        std::atomic<uint64_t> requests{0};
-        std::atomic<uint64_t> predictions{0};
-        std::atomic<uint64_t> batchedRequests{0};
-        std::atomic<uint64_t> overloaded{0};
-        std::atomic<uint64_t> protocolErrors{0};
-        std::atomic<uint64_t> bytesRx{0};
-        std::atomic<uint64_t> bytesTx{0};
-        std::atomic<uint64_t> connectionsAccepted{0};
+        Counts();
+        obs::OwnedCounter requests, predictions, batchedRequests,
+            overloaded, protocolErrors, bytesRx, bytesTx,
+            connectionsAccepted;
+        /** A level, not a count, so it feeds no metric. */
         std::atomic<uint64_t> activeConnections{0};
     };
-    Counters counters_;
+    Counts counts_;
 };
 
 } // namespace serve

@@ -121,7 +121,7 @@ template <typename Key, typename Value>
 class Memo
 {
   public:
-    Memo(obs::CounterId builds, obs::CounterId hits)
+    Memo(const obs::Counter &builds, const obs::Counter &hits)
         : builds_(builds), hits_(hits)
     {
     }
@@ -130,48 +130,30 @@ class Memo
     const Value &
     get(const Key &key, Build &&build)
     {
-        auto &registry = obs::MetricsRegistry::global();
         std::lock_guard<std::mutex> lock(mu_);
         for (const auto &[k, value] : entries_) {
             if (k == key) {
-                registry.add(hits_);
+                hits_.add();
                 return value;
             }
         }
-        registry.add(builds_);
+        builds_.add();
         return entries_.emplace_back(key, build()).second;
     }
 
   private:
-    obs::CounterId builds_, hits_;
+    obs::Counter builds_, hits_;
     std::mutex mu_;
     std::deque<std::pair<Key, Value>> entries_;
 };
 
 /** Memo metrics (DESIGN.md "Observability"). */
-struct WarmMetrics
-{
-    obs::CounterId predictorBuilds, predictorHits;
-    obs::CounterId btbBuilds, btbHits;
-    obs::CounterId l1iBuilds, l1iHits;
-
-    static const WarmMetrics &
-    get()
-    {
-        static const WarmMetrics m = [] {
-            auto &r = obs::MetricsRegistry::global();
-            WarmMetrics w;
-            w.predictorBuilds = r.counter("sim.warm_builds.predictor");
-            w.predictorHits = r.counter("sim.warm_hits.predictor");
-            w.btbBuilds = r.counter("sim.warm_builds.btb");
-            w.btbHits = r.counter("sim.warm_hits.btb");
-            w.l1iBuilds = r.counter("sim.warm_builds.l1i");
-            w.l1iHits = r.counter("sim.warm_hits.l1i");
-            return w;
-        }();
-        return m;
-    }
-};
+const obs::Counter kPredictorBuilds("sim.warm_builds.predictor");
+const obs::Counter kPredictorHits("sim.warm_hits.predictor");
+const obs::Counter kBtbBuilds("sim.warm_builds.btb");
+const obs::Counter kBtbHits("sim.warm_hits.btb");
+const obs::Counter kL1iBuilds("sim.warm_builds.l1i");
+const obs::Counter kL1iHits("sim.warm_hits.l1i");
 
 } // namespace
 
@@ -189,20 +171,15 @@ Structures::Structures(const MachineConfig &cfg,
 
 struct WarmStart::Memos
 {
-    Memo<int, TournamentPredictor> predictor;
-    Memo<int, BranchTargetBuffer> btb;
-    Memo<CacheConfig, WarmL1i> l1i;
-
-    explicit Memos(const WarmMetrics &m)
-        : predictor(m.predictorBuilds, m.predictorHits),
-          btb(m.btbBuilds, m.btbHits), l1i(m.l1iBuilds, m.l1iHits)
-    {
-    }
+    Memo<int, TournamentPredictor> predictor{kPredictorBuilds,
+                                             kPredictorHits};
+    Memo<int, BranchTargetBuffer> btb{kBtbBuilds, kBtbHits};
+    Memo<CacheConfig, WarmL1i> l1i{kL1iBuilds, kL1iHits};
 };
 
 WarmStart::WarmStart(const Trace &trace)
     : trace_(trace),
-      memos_(std::make_unique<Memos>(WarmMetrics::get()))
+      memos_(std::make_unique<Memos>())
 {
     // WarmFetchMiss counts data accesses in 32 bits.
     if (trace.size() > std::numeric_limits<uint32_t>::max())

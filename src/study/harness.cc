@@ -24,31 +24,14 @@ namespace {
  *  simulateFull call is a request that resolves as either a memo hit
  *  or an executed simulation, so sim.memo_hits + sim.executed ==
  *  sim.requests whenever no fault injection interferes. */
-struct SimMetrics
-{
-    obs::CounterId requests, memoHits, executed;
-    obs::CounterId spRequests, spMemoHits, spEstimates;
-    obs::HistogramId wallNs, spWallNs;
-
-    static const SimMetrics &
-    get()
-    {
-        static const SimMetrics m = [] {
-            auto &r = obs::MetricsRegistry::global();
-            SimMetrics s;
-            s.requests = r.counter("sim.requests");
-            s.memoHits = r.counter("sim.memo_hits");
-            s.executed = r.counter("sim.executed");
-            s.spRequests = r.counter("sim.simpoint_requests");
-            s.spMemoHits = r.counter("sim.simpoint_memo_hits");
-            s.spEstimates = r.counter("sim.simpoint_estimates");
-            s.wallNs = r.histogram("sim.wall_ns");
-            s.spWallNs = r.histogram("sim.simpoint_wall_ns");
-            return s;
-        }();
-        return m;
-    }
-};
+const obs::Counter kRequests("sim.requests");
+const obs::Counter kMemoHits("sim.memo_hits");
+const obs::Counter kExecuted("sim.executed");
+const obs::Counter kSpRequests("sim.simpoint_requests");
+const obs::Counter kSpMemoHits("sim.simpoint_memo_hits");
+const obs::Counter kSpEstimates("sim.simpoint_estimates");
+const obs::Histogram kWallNs("sim.wall_ns");
+const obs::Histogram kSpWallNs("sim.simpoint_wall_ns");
 
 /** Resolve the journal path: explicit argument wins, else DSE_JOURNAL
  *  with "{study}"/"{app}" placeholders expanded (so one environment
@@ -80,7 +63,8 @@ StudyContext::StudyContext(StudyKind kind, const std::string &app,
                            size_t trace_length,
                            const std::string &journal_path)
     : kind_(kind), app_(app), space_(spaceFor(kind)),
-      trace_(workload::generateBenchmarkTrace(app, trace_length))
+      trace_(workload::generateBenchmarkTrace(app, trace_length)),
+      executed_(kExecuted)
 {
     const std::string path = resolveJournalPath(journal_path, kind, app);
     if (path.empty())
@@ -98,14 +82,12 @@ StudyContext::StudyContext(StudyKind kind, const std::string &app,
 const sim::SimResult &
 StudyContext::simulateFull(uint64_t index)
 {
-    const auto &sm = SimMetrics::get();
-    auto &registry = obs::MetricsRegistry::global();
-    registry.add(sm.requests);
+    kRequests.add();
     {
         std::lock_guard<std::mutex> lock(memoMu_);
         auto it = results_.find(index);
         if (it != results_.end()) {
-            registry.add(sm.memoHits);
+            kMemoHits.add();
             return it->second;
         }
     }
@@ -123,11 +105,10 @@ StudyContext::simulateFull(uint64_t index)
     opts.warmCaches = true;
     std::optional<sim::SimResult> result;
     {
-        obs::TraceScope span("sim", sm.wallNs);
+        obs::TraceScope span("sim", kWallNs);
         result = sim::simulate(trace_, config(index), opts, &warmStart());
     }
-    registry.add(sm.executed);
-    executed_.fetch_add(1, std::memory_order_relaxed);
+    executed_.add();
 
     std::lock_guard<std::mutex> lock(memoMu_);
     auto [it, inserted] = results_.emplace(index, std::move(*result));
@@ -296,25 +277,23 @@ StudyContext::simPointScale()
 double
 StudyContext::simulateSimPointIpc(uint64_t index)
 {
-    const auto &sm = SimMetrics::get();
-    auto &registry = obs::MetricsRegistry::global();
-    registry.add(sm.spRequests);
+    kSpRequests.add();
     const double scale = simPointScale();
     {
         std::lock_guard<std::mutex> lock(memoMu_);
         auto it = estimates_.find(index);
         if (it != estimates_.end()) {
-            registry.add(sm.spMemoHits);
+            kSpMemoHits.add();
             return it->second;
         }
     }
     std::optional<simpoint::SimPointEstimate> est;
     {
-        obs::TraceScope span("simpoint", sm.spWallNs);
+        obs::TraceScope span("simpoint", kSpWallNs);
         est = simpoint::estimateIpc(trace_, config(index), simPoints(),
                                     &warmStart());
     }
-    registry.add(sm.spEstimates);
+    kSpEstimates.add();
     const double calibrated = est->ipc * scale;
     std::lock_guard<std::mutex> lock(memoMu_);
     return estimates_.emplace(index, calibrated).first->second;

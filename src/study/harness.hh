@@ -9,7 +9,6 @@
 #ifndef DSE_STUDY_HARNESS_HH
 #define DSE_STUDY_HARNESS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -24,6 +23,7 @@
 #include "simpoint/simpoint.hh"
 #include "study/journal.hh"
 #include "study/spaces.hh"
+#include "util/metrics.hh"
 #include "workload/trace.hh"
 
 namespace dse {
@@ -144,10 +144,7 @@ class StudyContext
     /** Detailed simulations actually *executed* by this context —
      *  excludes journal-replayed results, so a resumed study reports
      *  0 until it reaches a point its journal has not seen. */
-    size_t simulationsExecuted() const
-    {
-        return executed_.load(std::memory_order_relaxed);
-    }
+    size_t simulationsExecuted() const { return executed_.value(); }
 
     /** True if a write-ahead journal is attached. */
     bool journalActive() const { return journal_ != nullptr; }
@@ -207,7 +204,7 @@ class StudyContext
     std::unique_ptr<sim::WarmStart> warmStart_;
     std::unique_ptr<SimJournal> journal_;
     SimJournal::ReplayStats journalStats_;
-    std::atomic<size_t> executed_{0};  ///< non-replayed simulations
+    obs::OwnedCounter executed_;  ///< non-replayed; feeds sim.executed
 };
 
 /**

@@ -18,28 +18,12 @@ namespace study {
 namespace {
 
 /** Journal durability metrics (DESIGN.md "Observability"). */
-struct JournalMetrics
-{
-    obs::CounterId appends, fsyncs, replayed, rejected, tornTails;
-    obs::HistogramId appendWallNs;
-
-    static const JournalMetrics &
-    get()
-    {
-        static const JournalMetrics m = [] {
-            auto &r = obs::MetricsRegistry::global();
-            JournalMetrics j;
-            j.appends = r.counter("journal.appends");
-            j.fsyncs = r.counter("journal.fsyncs");
-            j.replayed = r.counter("journal.replayed");
-            j.rejected = r.counter("journal.rejected");
-            j.tornTails = r.counter("journal.torn_tails");
-            j.appendWallNs = r.histogram("journal.append_wall_ns");
-            return j;
-        }();
-        return m;
-    }
-};
+const obs::Counter kAppends("journal.appends");
+const obs::Counter kFsyncs("journal.fsyncs");
+const obs::Counter kReplayed("journal.replayed");
+const obs::Counter kRejected("journal.rejected");
+const obs::Counter kTornTails("journal.torn_tails");
+const obs::Histogram kAppendWallNs("journal.append_wall_ns");
 
 constexpr char kMagic[8] = {'D', 'S', 'E', 'J', 'R', 'N', 'L', '1'};
 constexpr uint32_t kVersion = 1;
@@ -191,22 +175,18 @@ SimJournal::replay(
         ::lseek(fd_, valid, SEEK_SET);
     }
 
-    const auto &jm = JournalMetrics::get();
-    auto &registry = obs::MetricsRegistry::global();
-    registry.add(jm.replayed, stats.replayed);
-    registry.add(jm.rejected, stats.rejected);
+    kReplayed.add(stats.replayed);
+    kRejected.add(stats.rejected);
     if (stats.tornTail)
-        registry.add(jm.tornTails);
+        kTornTails.add();
     return stats;
 }
 
 void
 SimJournal::append(uint64_t index, const sim::SimResult &r)
 {
-    const auto &jm = JournalMetrics::get();
-    auto &registry = obs::MetricsRegistry::global();
-    obs::TraceScope span("journal-append", jm.appendWallNs);
-    registry.add(jm.appends);
+    obs::TraceScope span("journal-append", kAppendWallNs);
+    kAppends.add();
     const auto record = encodeRecord(index, r);
     std::lock_guard<std::mutex> lock(appendMu_);
     if (util::FaultInjector::global().shouldFail("journal", index)) {
@@ -220,7 +200,7 @@ SimJournal::append(uint64_t index, const sim::SimResult &r)
     }
     util::writeAll(fd_, record.data(), record.size(), path_);
     fsyncOrThrow(fd_, path_);
-    registry.add(jm.fsyncs);
+    kFsyncs.add();
 }
 
 } // namespace study

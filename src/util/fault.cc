@@ -41,6 +41,14 @@ FaultInjector::configure(const std::string &spec)
                 "DSE_FAULTS entry '" + entry +
                 "' is not site:rate:seed");
         }
+        // Injections export as `faults.injected.<site>`, so a site
+        // must make a valid metric name.
+        const std::string metric = "faults.injected." + parts[0];
+        if (!obs::MetricsRegistry::validName(metric)) {
+            throw std::invalid_argument(
+                "DSE_FAULTS site '" + parts[0] +
+                "' must match ^[a-z0-9_.]+$");
+        }
         char *end = nullptr;
         const double rate = std::strtod(parts[1].c_str(), &end);
         if (!end || *end != '\0' || !(rate >= 0.0) || rate > 1.0) {
@@ -54,7 +62,7 @@ FaultInjector::configure(const std::string &spec)
             throw std::invalid_argument(
                 "DSE_FAULTS seed '" + parts[2] + "' is not an integer");
         }
-        auto site = std::make_unique<Site>();
+        auto site = std::make_unique<Site>(obs::Counter(metric));
         // threshold == ~0ull is reserved to mean "always fire" so
         // rate 1 hits every key, including one whose hash is ~0ull;
         // fractional rates map onto [0, 2^64) with a clamp to keep
@@ -69,15 +77,6 @@ FaultInjector::configure(const std::string &spec)
                 : static_cast<uint64_t>(scaled);
         }
         site->seed = seed;
-        // Export injections per site as `faults.injected.<site>` when
-        // the site name fits the metric naming scheme (it always does
-        // for the built-in sites; a creative test site just goes
-        // unexported rather than aborting the run).
-        const std::string metric_name = "faults.injected." + parts[0];
-        if (obs::MetricsRegistry::validName(metric_name)) {
-            site->metric =
-                obs::MetricsRegistry::global().counter(metric_name);
-        }
         sites[parts[0]] = std::move(site);
     }
 
@@ -112,10 +111,8 @@ FaultInjector::shouldFail(const char *site, uint64_t key)
         return false;
     const bool fail = s->threshold == ~0ull ||
         probeHash(s->seed, key) < s->threshold;
-    if (fail) {
-        s->injected.fetch_add(1, std::memory_order_relaxed);
-        obs::MetricsRegistry::global().add(s->metric);
-    }
+    if (fail)
+        s->injected.add();
     return fail;
 }
 
@@ -135,7 +132,7 @@ uint64_t
 FaultInjector::injected(const char *site) const
 {
     Site *s = find(site);
-    return s ? s->injected.load(std::memory_order_relaxed) : 0;
+    return s ? s->injected.value() : 0;
 }
 
 FaultInjector &

@@ -46,8 +46,10 @@ class FaultInjector
 
     /**
      * Replace the configuration with a parsed `site:rate:seed,...`
-     * spec (empty string disables all sites). Rates must be in
-     * [0, 1]. @throws std::invalid_argument on a malformed spec.
+     * spec (empty string disables all sites). Site names must match
+     * `^[a-z0-9_.]+$` (each exports `faults.injected.<site>`) and
+     * rates must be in [0, 1].
+     * @throws std::invalid_argument on a malformed spec.
      */
     void configure(const std::string &spec);
 
@@ -80,13 +82,13 @@ class FaultInjector
   private:
     struct Site
     {
+        explicit Site(const obs::Counter &metric) : injected(metric) {}
+
         uint64_t threshold = 0;  ///< fail iff hash < threshold
         uint64_t seed = 0;
         std::atomic<uint64_t> autoKey{0};
-        std::atomic<uint64_t> injected{0};
-        /** `faults.injected.<site>` counter; invalid (and never
-         *  bumped) when the site name fails the metric name rules. */
-        obs::CounterId metric;
+        /** Faults fired here; feeds `faults.injected.<site>`. */
+        obs::OwnedCounter injected;
     };
 
     Site *find(const char *site) const;

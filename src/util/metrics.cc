@@ -317,6 +317,16 @@ MetricsRegistry::global()
     return *registry;
 }
 
+Counter::Counter(const std::string &name)
+    : id_(MetricsRegistry::global().counter(name))
+{
+}
+
+Histogram::Histogram(const std::string &name)
+    : id_(MetricsRegistry::global().histogram(name))
+{
+}
+
 uint64_t
 MetricsSnapshot::counter(const std::string &name) const
 {

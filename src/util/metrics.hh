@@ -15,6 +15,14 @@
  * Registration enforces the pattern and rejects a name already taken
  * by a different metric kind, so exported series can never collide.
  *
+ * Declaring metrics: a module declares one Counter or Histogram handle
+ * per metric at namespace scope. Each registers in the global registry
+ * when the program starts, so a snapshot lists every linked module's
+ * metrics, zeros included. A count that one object must also report
+ * on its own (a server's Stats, a context's executed simulations) is
+ * an OwnedCounter feeding such a handle: one call, one cell per view.
+ * Names built at run time use the registry's id API below.
+ *
  * Cost model:
  *  - disabled (the default; DSE_METRICS env var unset or 0): one
  *    relaxed atomic load and a branch per probe;
@@ -195,11 +203,86 @@ class MetricsRegistry
     struct Impl;  ///< internal (named publicly for the .cc helpers)
 
   private:
+    friend class Counter;
+    friend class Histogram;
+
     void addSlow(CounterId id, uint64_t n);
     void observeSlow(HistogramId id, uint64_t value);
     void setGaugeSlow(GaugeId id, int64_t value);
 
     std::unique_ptr<Impl> impl_;
+};
+
+/**
+ * A counter of the global registry, registered under @p name when the
+ * handle is constructed (an invalid name throws, like counter()).
+ * Declare one per metric at namespace scope, named after it: a
+ * `const obs::Counter kAppends` for journal.appends. The handle holds
+ * only its id, so it is trivially destructible and add() looks
+ * nothing up: disarmed, it costs one relaxed load and a branch.
+ * Static initialization order across files is unspecified, so no
+ * handle may be bumped before main().
+ */
+class Counter
+{
+  public:
+    explicit Counter(const std::string &name);
+
+    void
+    add(uint64_t n = 1) const
+    {
+        if (metricsEnabled())
+            MetricsRegistry::global().addSlow(id_, n);
+    }
+
+  private:
+    CounterId id_;
+};
+
+/** A histogram of the global registry; declared and costed like
+ *  Counter. */
+class Histogram
+{
+  public:
+    explicit Histogram(const std::string &name);
+
+    void
+    observe(uint64_t value) const
+    {
+        if (metricsEnabled())
+            MetricsRegistry::global().observeSlow(id_, value);
+    }
+
+  private:
+    HistogramId id_;
+};
+
+/**
+ * An always-on count that belongs to one object: a server's Stats, a
+ * dispatcher's stats(), a context's executed simulations. add() bumps
+ * the object's own cell whether or not metrics are armed, and feeds
+ * the global @p metric while they are, so the object's value() and the
+ * process-wide snapshot cannot drift apart. The cell is one relaxed
+ * atomic per object, with no per-thread shards: objects such as the
+ * test suites' many short-lived servers stay cheap to build.
+ */
+class OwnedCounter
+{
+  public:
+    explicit OwnedCounter(const Counter &metric) : metric_(metric) {}
+
+    void
+    add(uint64_t n = 1)
+    {
+        value_.fetch_add(n, std::memory_order_relaxed);
+        metric_.add(n);
+    }
+
+    uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+  private:
+    Counter metric_;
+    std::atomic<uint64_t> value_{0};
 };
 
 } // namespace obs

@@ -110,10 +110,9 @@ class TraceCollector
 class TraceScope
 {
   public:
-    TraceScope(const char *name, HistogramId hist)
+    TraceScope(const char *name, const Histogram &hist)
+        : name_(name), hist_(hist)
     {
-        name_ = name;
-        hist_ = hist;
         metrics_ = metricsEnabled();
         trace_ = tracingEnabled();
         if (metrics_ || trace_)
@@ -127,7 +126,7 @@ class TraceScope
         const uint64_t end = detail::steadyNowNs();
         const uint64_t dur = end - startNs_;
         if (metrics_)
-            MetricsRegistry::global().observe(hist_, dur);
+            hist_.observe(dur);
         if (trace_)
             TraceCollector::global().record(name_, startNs_, dur);
     }
@@ -137,7 +136,7 @@ class TraceScope
 
   private:
     const char *name_ = nullptr;
-    HistogramId hist_;
+    Histogram hist_;
     uint64_t startNs_ = 0;
     bool metrics_ = false;
     bool trace_ = false;

@@ -9,7 +9,9 @@ Checks the contract every tool shares:
   once the daemon gets SIGTERM; a port file with trailing garbage is
   invalid input to ``dse_loadgen``;
 * an exploration fed by a ``dse_simworker`` prints the same per-round
-  estimates as the same exploration simulated locally.
+  estimates as the same exploration simulated locally, and so does one
+  pointed at a worker that is not there, which reports its local
+  fallbacks.
 
 Usage: cli_tools.py <directory holding the built tools>
 
@@ -17,6 +19,7 @@ Runs as the CliTools ctest; exits nonzero with one line per failure.
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -175,16 +178,28 @@ def check_remote_matches_local(tools, scratch):
             OK, "dse_explore", EXPLORE + ["--workers=127.0.0.1:%d" % port])
     finally:
         tools.stop_daemon("dse_simworker", worker)
-    if local is None or remote is None:
+    # Nothing listens on port 1: every batch falls back to local
+    # simulation, which must not change a single estimate.
+    dead = tools.expect(OK, "dse_explore", EXPLORE + ["--workers=127.0.0.1:1"])
+    if local is None:
         return  # the timeout is already recorded
     if not estimates(local.stdout):
         tools.fail("dse_explore", "no per-round estimates printed")
-    elif estimates(remote.stdout) != estimates(local.stdout):
-        tools.fail("dse_explore --workers",
-                   "estimates differ from the local run:\n%s\nvs\n%s" %
-                   (remote.stdout, local.stdout))
-    if "remote: " not in remote.stdout:
-        tools.fail("dse_explore --workers", "no remote summary printed")
+        return
+    for flag, run in (("--workers", remote), ("--workers=127.0.0.1:1", dead)):
+        if run is None:
+            continue
+        if estimates(run.stdout) != estimates(local.stdout):
+            tools.fail("dse_explore " + flag,
+                       "estimates differ from the local run:\n%s\nvs\n%s" %
+                       (run.stdout, local.stdout))
+        if "remote: " not in run.stdout:
+            tools.fail("dse_explore " + flag, "no remote summary printed")
+    if dead is not None:
+        fallbacks = re.search(r"(\d+) local fallbacks", dead.stdout)
+        if not fallbacks or int(fallbacks.group(1)) == 0:
+            tools.fail("dse_explore --workers=127.0.0.1:1",
+                       "no local fallbacks reported:\n" + dead.stdout)
 
 
 def main():

@@ -94,6 +94,7 @@ TEST_F(FaultsInjector, RejectsMalformedSpecs)
     EXPECT_THROW(fi.configure("site:-0.5:1"), std::invalid_argument);
     EXPECT_THROW(fi.configure("site:0.5:xyz"), std::invalid_argument);
     EXPECT_THROW(fi.configure(":0.5:1"), std::invalid_argument);
+    EXPECT_THROW(fi.configure("Sim:1:1"), std::invalid_argument);
     EXPECT_NO_THROW(fi.configure(""));
     EXPECT_NO_THROW(fi.configure("a:0.5:1,b:1:2"));
 }

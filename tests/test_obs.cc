@@ -14,12 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ml/cross_validation.hh"
@@ -70,6 +72,7 @@ using ObsSharding = ObsBase;
 using ObsDeterminism = ObsBase;
 using ObsTrace = ObsBase;
 using ObsNames = ObsBase;
+using ObsHandles = ObsBase;
 
 // ---------------------------------------------------------------------
 // Registry semantics.
@@ -262,6 +265,71 @@ TEST_F(ObsSharding, SnapshotIsReadableWhileWritersRun)
     });
     EXPECT_EQ(r.snapshot().counter("live.count"), kN);
     util::ThreadPool::resetGlobal();
+}
+
+// ---------------------------------------------------------------------
+// Handles and owned counters: one series per name, one cell per count.
+// ---------------------------------------------------------------------
+
+TEST_F(ObsHandles, HandleAndRegistryLookupShareOneSeries)
+{
+    auto &global = obs::MetricsRegistry::global();
+    const obs::Counter counter("handle.count");
+    const obs::Histogram hist("handle.hist");
+    global.reset();
+    counter.add(2);
+    global.add(global.counter("handle.count"), 3);
+    obs::Counter("handle.count").add(4);
+    hist.observe(10);
+    global.observe(global.histogram("handle.hist"), 30);
+    const auto snap = global.snapshot();
+    EXPECT_EQ(snap.counter("handle.count"), 9u);
+    const auto *hs = snap.histogram("handle.hist");
+    ASSERT_NE(hs, nullptr);
+    EXPECT_EQ(hs->count, 2u);
+    EXPECT_EQ(hs->sum, 40u);
+    EXPECT_THROW(obs::Counter("Handle.count"), std::invalid_argument);
+    EXPECT_THROW(obs::Histogram("handle.count"), std::invalid_argument);
+}
+
+TEST_F(ObsHandles, OwnedCounterCountsWhileMetricsAreOff)
+{
+    auto &global = obs::MetricsRegistry::global();
+    obs::OwnedCounter owned{obs::Counter("owned.off")};
+    global.reset();
+    obs::setMetricsEnabled(false);
+    owned.add(3);
+    EXPECT_EQ(owned.value(), 3u);
+    EXPECT_EQ(global.snapshot().counter("owned.off"), 0u);
+    obs::setMetricsEnabled(true);
+    owned.add(4);
+    EXPECT_EQ(owned.value(), 7u);
+    EXPECT_EQ(global.snapshot().counter("owned.off"), 4u);
+}
+
+TEST_F(ObsHandles, OwnedCounterTotalsAreExactAcrossThreads)
+{
+    constexpr size_t kThreads = 8;
+    constexpr uint64_t kPerThread = 20000;
+    auto &global = obs::MetricsRegistry::global();
+    obs::OwnedCounter owned{obs::Counter("owned.threads")};
+    global.reset();
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (uint64_t i = 0; i < kPerThread; ++i)
+                owned.add();
+        });
+    }
+    go.store(true);
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(owned.value(), kThreads * kPerThread);
+    EXPECT_EQ(global.snapshot().counter("owned.threads"),
+              kThreads * kPerThread);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Lint the dse::obs metric namespace.
 
-Scans the C++ sources for literal metric registrations --
+Scans the C++ sources for literal metric registrations -- handle
+declarations such as ``obs::Counter kAppends("journal.appends")`` and
+``obs::Histogram kWallNs("sim.wall_ns")``, and registry calls
 ``.counter("...")``, ``.gauge("...")``, ``.histogram("...")`` -- and
 enforces the naming scheme documented in src/util/metrics.hh and
 DESIGN.md ("Observability"):
@@ -12,7 +14,8 @@ DESIGN.md ("Observability"):
 
 Re-registering the same (name, kind) from several sites is fine -- the
 registry returns the same series -- so only cross-kind collisions are
-errors.
+errors. A tree whose src/ declares no counter and no histogram fails:
+the scan roots or the patterns no longer match the code.
 
 Also lints the fault-injection namespace: every literal
 ``shouldFail("site", ...)`` probe must name a site from the allowlist
@@ -33,6 +36,10 @@ NAME_RE = re.compile(r"^[a-z0-9_.]+$")
 # registry object; whitespace/newlines may separate the call pieces.
 REG_RE = re.compile(
     r"\.\s*(counter|gauge|histogram)\s*\(\s*\"([^\"]*)\"\s*\)")
+# const obs::Counter kAppends("journal.appends"); -- a handle that
+# registers when it is constructed.
+HANDLE_RE = re.compile(
+    r"\b(Counter|Histogram)\s+\w+\s*[({]\s*\"([^\"]*)\"\s*[)}]")
 # shouldFail("sim", key) probes; DOTALL because call sites split the
 # arguments across lines.
 FAULT_RE = re.compile(r"shouldFail\s*\(\s*\"([^\"]*)\"", re.DOTALL)
@@ -61,6 +68,7 @@ def main() -> int:
         __file__).resolve().parent.parent
     failures = []
     kinds = {}  # name -> (kind, first site)
+    src_series = set()  # counters and histograms declared under src/
 
     for scan in SCAN_DIRS:
         base = root / scan
@@ -80,10 +88,15 @@ def main() -> int:
                             f"{site}: fault site '{site_name}' is not "
                             "in the allowlist (FAULT_SITES in "
                             "check_metrics_names.py)")
-            for match in REG_RE.finditer(text):
-                kind, name = match.group(1), match.group(2)
-                line = text.count("\n", 0, match.start()) + 1
+            matches = [(m.start(), m.group(1), m.group(2))
+                       for m in REG_RE.finditer(text)]
+            matches += [(m.start(), m.group(1).lower(), m.group(2))
+                        for m in HANDLE_RE.finditer(text)]
+            for start, kind, name in sorted(matches):
+                line = text.count("\n", 0, start) + 1
                 site = f"{path.relative_to(root)}:{line}"
+                if scan == "src" and kind != "gauge":
+                    src_series.add(name)
                 if not NAME_RE.fullmatch(name):
                     failures.append(
                         f"{site}: metric name '{name}' does not match "
@@ -100,9 +113,9 @@ def main() -> int:
                         f"{kinds[name][1]}")
                 kinds.setdefault(name, (kind, site))
 
-    if not kinds:
-        failures.append("no metric registrations found -- "
-                        "scan roots or regex are stale")
+    if not src_series:
+        failures.append("no counter or histogram declared under src/ -- "
+                        "scan roots or patterns are stale")
     for failure in failures:
         print(failure, file=sys.stderr)
     if failures:

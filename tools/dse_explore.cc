@@ -158,26 +158,18 @@ explore(const Options &opts)
         remote::DispatcherOptions dopts;
         dopts.endpoints = endpoints;
         dopts.simpoint = opts.simpoint;
-        std::unique_ptr<remote::RemoteDispatcher> dispatcher;
-        if (!dopts.endpoints.empty()) {
-            dispatcher = std::make_unique<remote::RemoteDispatcher>(
-                ctx, dopts);
+        remote::RemoteDispatcher dispatcher(ctx, dopts);
+        if (dispatcher.active()) {
             std::printf("remote: %zu simulation worker(s); failures "
                         "fall back to local simulation\n",
                         dopts.endpoints.size());
-            eopts.prefetch = [&](const std::vector<uint64_t> &batch) {
-                dispatcher->prefetch(batch);
-            };
-        } else {
-            // Simulate each round's batch on the thread pool; the
-            // per-index calls below then hit the memo cache.
-            eopts.prefetch = [&](const std::vector<uint64_t> &batch) {
-                if (opts.simpoint)
-                    ctx.simulateSimPointBatch(batch);
-                else
-                    ctx.simulateBatch(batch);
-            };
         }
+        // Simulate each round's batch up front: on the workers first
+        // when there are any, then whatever is left on the thread
+        // pool. The per-index calls below then hit the memo cache.
+        eopts.prefetch = [&](const std::vector<uint64_t> &batch) {
+            dispatcher.simulateBatch(batch);
+        };
 
         auto simulate = [&](uint64_t i) {
             return opts.simpoint ? ctx.simulateSimPointIpc(i)
@@ -194,8 +186,8 @@ explore(const Options &opts)
         std::printf("done: %zu simulations%s\n",
                     explorer.sampledIndices().size(),
                     opts.simpoint ? " (SimPoint estimates)" : "");
-        if (dispatcher) {
-            const auto st = dispatcher->stats();
+        if (dispatcher.active()) {
+            const auto st = dispatcher.stats();
             std::printf("remote: %llu dispatched, %llu completed, "
                         "%llu retries, %llu hedges, %llu redispatches, "
                         "%llu local fallbacks\n",
