@@ -24,7 +24,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"mesa"});
+    const auto scope = BenchScope::fromEnv({"mesa"});
     const std::string app = scope.apps.front();
     std::printf("Ablation: modeling design choices (%s, memory-system "
                 "study, 2%% sample)\n", app.c_str());

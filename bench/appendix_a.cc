@@ -18,7 +18,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"applu"});
+    const auto scope = BenchScope::fromEnv({"applu"});
     std::printf("Appendix A (Figures A.1-A.3): remaining applications"
                 "\n(apps: %s; full appendix: "
                 "DSE_APPS=applu,mgrid,gzip,twolf)\n",

@@ -60,7 +60,7 @@ compareStrategies(const std::string &app, size_t trace_length,
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"mesa", "twolf"});
+    const auto scope = BenchScope::fromEnv({"mesa", "twolf"});
     std::printf("Extension: active learning vs random sampling "
                 "(Chapter 7 future work)\n(apps: %s)\n",
                 join(scope.apps, ",").c_str());

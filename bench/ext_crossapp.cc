@@ -128,7 +128,7 @@ smartsVsSimPoint(const std::string &app, size_t trace_length)
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"gzip", "crafty"});
+    const auto scope = BenchScope::fromEnv({"gzip", "crafty"});
     std::printf("Extension: cross-application modeling and SMARTS "
                 "sampling (Chapters 2 and 7)\n(apps: %s)\n",
                 join(scope.apps, ",").c_str());

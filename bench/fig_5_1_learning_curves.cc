@@ -19,7 +19,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"mesa", "crafty"});
+    const auto scope = BenchScope::fromEnv({"mesa", "crafty"});
     std::printf("Figure 5.1: learning curves (error vs %% of space "
                 "sampled)\n(apps: %s; paper plots mesa, equake, mcf, "
                 "crafty — set DSE_APPS)\n",

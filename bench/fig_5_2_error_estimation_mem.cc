@@ -19,7 +19,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"mesa"});
+    const auto scope = BenchScope::fromEnv({"mesa"});
     std::printf("Figure 5.2: estimated vs true error, memory-system "
                 "study\n(apps: %s; paper plots mesa, equake, mcf, "
                 "crafty — set DSE_APPS)\n",

@@ -16,7 +16,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"gzip"});
+    const auto scope = BenchScope::fromEnv({"gzip"});
     std::printf("Figure 5.3: estimated vs true error, processor "
                 "study\n(apps: %s; paper plots mesa, equake, mcf, "
                 "crafty — set DSE_APPS)\n",

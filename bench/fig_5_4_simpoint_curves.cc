@@ -19,7 +19,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"mesa", "crafty"});
+    const auto scope = BenchScope::fromEnv({"mesa", "crafty"});
     std::printf("Figure 5.4: ANN+SimPoint learning curves, processor "
                 "study\n(apps: %s; paper plots mesa, equake, mcf, "
                 "crafty — set DSE_APPS)\n",

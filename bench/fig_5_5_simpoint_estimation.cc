@@ -19,7 +19,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"mesa"});
+    const auto scope = BenchScope::fromEnv({"mesa"});
     std::printf("Figure 5.5: estimated vs true error with "
                 "ANN+SimPoint, processor study\n(apps: %s)\n",
                 join(scope.apps, ",").c_str());

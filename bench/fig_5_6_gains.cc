@@ -21,7 +21,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"mesa", "crafty"});
+    const auto scope = BenchScope::fromEnv({"mesa", "crafty"});
     std::printf("Figure 5.6: reductions in simulated instructions, "
                 "ANN+SimPoint, processor study\n(apps: %s)\n",
                 join(scope.apps, ",").c_str());

@@ -16,7 +16,7 @@ using namespace dse::bench;
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"mesa", "crafty"});
+    const auto scope = BenchScope::fromEnv({"mesa", "crafty"});
     std::printf("Figure 5.7: SimPoint vs ANN contributions to the "
                 "combined reduction, processor study\n(apps: %s)\n",
                 join(scope.apps, ",").c_str());

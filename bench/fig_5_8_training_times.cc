@@ -51,6 +51,8 @@ sharedData(size_t n)
 void
 BM_EnsembleTraining(benchmark::State &state)
 {
+    // First, so that a bad DSE_MAX_EPOCHS exits before any trace.
+    ml::TrainOptions opts = benchTrainOptions();
     auto &ctx = sharedContext();
     const double pct = static_cast<double>(state.range(0));
     const size_t n = static_cast<size_t>(
@@ -60,7 +62,6 @@ BM_EnsembleTraining(benchmark::State &state)
     for (size_t i = 0; i < n; ++i)
         data.add(all.x[i], all.y[i]);
 
-    ml::TrainOptions opts = benchTrainOptions();
     // Fixed epoch budget so the measurement isolates the per-pass
     // cost's linear scaling in D (the paper trains a fixed pipeline
     // per batch too).

@@ -45,7 +45,8 @@ BM_AnnTrainStep(benchmark::State &state)
     std::vector<double> x(16, 0.5);
     std::vector<double> t{0.7};
     for (auto _ : state)
-        benchmark::DoNotOptimize(net.train(x, t));
+        benchmark::DoNotOptimize(
+            net.trainEpoch(x.data(), t.data(), nullptr, 1));
 }
 
 void

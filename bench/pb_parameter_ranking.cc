@@ -57,7 +57,7 @@ rankStudy(study::StudyKind kind, const std::string &app,
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv({"crafty", "mcf"});
+    const auto scope = BenchScope::fromEnv({"crafty", "mcf"});
     std::printf("Chapter 4 check: Plackett-Burman parameter "
                 "significance ranking\n(apps: %s)\n",
                 join(scope.apps, ",").c_str());

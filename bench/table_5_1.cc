@@ -20,8 +20,7 @@ using namespace dse::bench;
 namespace {
 
 void
-runStudy(study::StudyKind kind, const study::BenchScope &scope,
-         Table &table)
+runStudy(study::StudyKind kind, const BenchScope &scope, Table &table)
 {
     for (const auto &app : scope.apps) {
         study::StudyContext ctx(kind, app, scope.traceLength);
@@ -52,7 +51,7 @@ runStudy(study::StudyKind kind, const study::BenchScope &scope,
 int
 main()
 {
-    const auto scope = study::BenchScope::fromEnv(
+    const auto scope = BenchScope::fromEnv(
         {"mesa", "mcf", "crafty", "equake"});
 
     std::printf("Table 5.1: true vs. estimated mean/SD of percentage "
@@ -65,7 +64,7 @@ main()
                  "true_sd%", "est_sd%"});
     runStudy(study::StudyKind::MemorySystem, scope, table);
     runStudy(study::StudyKind::Processor, scope, table);
-    if (envBool("DSE_CSV", false))
+    if (csvOutput())
         table.printCsv(std::cout);
     else
         table.print(std::cout);

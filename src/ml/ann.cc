@@ -650,15 +650,6 @@ Ann::predictScalar(const std::vector<double> &input) const
 }
 
 double
-Ann::train(const std::vector<double> &input,
-           const std::vector<double> &target)
-{
-    assert(static_cast<int>(input.size()) == inputs_);
-    assert(static_cast<int>(target.size()) == outputs_);
-    return trainEpoch(input.data(), target.data(), nullptr, 1);
-}
-
-double
 Ann::trainEpoch(const double *x, const double *t, const uint32_t *order,
                 size_t rows)
 {

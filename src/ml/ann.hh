@@ -166,7 +166,7 @@ class Ann
      * Forward pass; returns the output activations. Thread-safe on a
      * const network: concurrent predictions (parallel design-space
      * evaluation) use per-thread scratch, not the member activation
-     * buffers that train() owns.
+     * buffers that trainEpoch() owns.
      */
     std::vector<double> predict(const std::vector<double> &input) const;
 
@@ -197,36 +197,28 @@ class Ann
     void predictBlockT(const double *xT, size_t nb, double *yT) const;
 
     /**
-     * One stochastic gradient-descent step on a single example
-     * (backpropagation with momentum, Equation 3.2).
+     * One epoch of stochastic gradient descent (backpropagation with
+     * momentum, Equation 3.2) over packed example matrices: @p x is
+     * row-major [rows_needed x inputs()], @p t is row-major
+     * [rows_needed x outputs()], and presentation p trains on example
+     * row order[p] (rows when @p order is null, i.e. the in-place
+     * order). @p order entries may repeat and need not cover every
+     * row — weighted presentation (Section 3.3) draws rows with
+     * replacement — they only have to index valid rows of @p x/@p t.
+     * One row with a null order is a single per-example step.
+     *
+     * Each presentation is one forward pass and one fused
+     * backward+update sweep, accumulated in presentation order, so
+     * an epoch is bit-for-bit identical to the same presentations
+     * made as one-row epochs: the returned summed squared error and
+     * every weight agree exactly. The rows stream from two flat
+     * buffers (see trainFolds, which packs each fold once).
      *
      * Divergence detection: a non-finite example error (NaN/Inf
      * inputs, or weights that have already blown up) latches the
      * diverged() flag; the trainer uses it to abandon the attempt
      * and retry from a reseeded initialization rather than let NaNs
      * propagate into the ensemble (see trainFolds).
-     *
-     * @return the example's squared error before the update
-     */
-    double train(const std::vector<double> &input,
-                 const std::vector<double> &target);
-
-    /**
-     * One epoch of stochastic gradient descent over packed example
-     * matrices: @p x is row-major [rows_needed x inputs()], @p t is
-     * row-major [rows_needed x outputs()], and presentation p trains
-     * on example row order[p] (rows when @p order is null, i.e. the
-     * in-place order). @p order entries may repeat and need not cover
-     * every row — weighted presentation (Section 3.3) draws rows with
-     * replacement — they only have to index valid rows of @p x/@p t.
-     *
-     * Per presentation this is exactly train() — same forward, same
-     * fused backward+update sweep, same error accumulation order — so
-     * the returned summed squared error and every weight are
-     * bit-for-bit identical to the equivalent sequence of train()
-     * calls. What the epoch form buys is the loop itself: no per-row
-     * std::vector indirection or asserts, examples streamed from two
-     * flat buffers (see trainFolds, which packs each fold once).
      *
      * @return the sum of per-example squared errors (pre-update),
      *         accumulated in presentation order
@@ -279,7 +271,7 @@ class Ann
     int inputs_;
     int outputs_;
     AnnParams params_;
-    bool diverged_ = false;  ///< latched by train() on non-finite error
+    bool diverged_ = false;  ///< latched by trainEpoch() on non-finite error
     std::vector<Layer> layers_;
     int maxWidth_ = 0;  ///< max layer output width
     /**
@@ -288,7 +280,7 @@ class Ann
      */
     std::vector<double> w_;
     std::vector<double> dwPrev_;  ///< previous updates, same layout
-    // Scratch activations/deltas owned by train(); const prediction
+    // Scratch activations/deltas owned by trainEpoch(); const prediction
     // paths use per-thread scratch instead.
     mutable std::vector<double> act_;
     mutable std::vector<double> delta_;

@@ -465,7 +465,7 @@ trainFolds(const std::vector<std::vector<double>> &x,
             // whole presentation order first (consuming the fold's
             // RNG stream exactly as the historical per-presentation
             // loop did), then hand the packed fold to the fused epoch
-            // kernel — bit-identical to the train()-per-row loop.
+            // kernel — bit-identical to presenting the rows one by one.
             for (size_t p = 0; p < n_rows; ++p)
                 order[p] = static_cast<uint32_t>(drawRow(cdf, fold_rng));
             const double epoch_sq = net.trainEpoch(

@@ -465,7 +465,13 @@ RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
 
     const uint64_t t0 = nowNs();
     if (!w.connected) {
-        w.client.connect(w.ep.host, w.ep.port);
+        // A worker that cannot be reached never saw the batch: the
+        // attempt fails, but nothing was lost in flight.
+        try {
+            w.client.connect(w.ep.host, w.ep.port);
+        } catch (const std::exception &) {
+            return false;
+        }
         w.connected = true;
     }
     serve::SimulateBatchRequest req;

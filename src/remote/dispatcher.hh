@@ -100,7 +100,7 @@ struct DispatchStats
     uint64_t completed = 0;     ///< batches answered by a worker
     uint64_t retries = 0;       ///< re-attempts after a failure
     uint64_t hedges = 0;        ///< duplicate dispatches issued
-    uint64_t redispatches = 0;  ///< batches re-queued off a dead worker
+    uint64_t redispatches = 0;  ///< retries after a connection dropped
     uint64_t fallbacks = 0;     ///< batches exhausted to local sim
 };
 
@@ -153,7 +153,8 @@ class RemoteDispatcher
 
     void workerLoop(size_t wi);
     /** One remote attempt of @p task on worker @p wi; returns true on
-     *  success (results merged). */
+     *  success (results merged) and false when the worker could not be
+     *  reached. A connection lost mid-request throws. */
     bool attempt(size_t wi, const std::shared_ptr<Task> &task);
     void requeue(const std::shared_ptr<Task> &task, uint64_t not_before_ns);
     void failTask(const std::shared_ptr<Task> &task);

@@ -1,12 +1,10 @@
 #include "study/harness.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
-#include "util/env.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
@@ -33,30 +31,6 @@ const obs::Counter kSpEstimates("sim.simpoint_estimates");
 const obs::Histogram kWallNs("sim.wall_ns");
 const obs::Histogram kSpWallNs("sim.simpoint_wall_ns");
 
-/** Resolve the journal path: explicit argument wins, else DSE_JOURNAL
- *  with "{study}"/"{app}" placeholders expanded (so one environment
- *  setting journals a multi-app sweep into per-app files). */
-std::string
-resolveJournalPath(const std::string &explicit_path, StudyKind kind,
-                   const std::string &app)
-{
-    std::string path = explicit_path;
-    if (path.empty()) {
-        const char *env = std::getenv("DSE_JOURNAL");
-        if (!env || !*env)
-            return "";
-        path = env;
-    }
-    const auto expand = [&path](const std::string &key,
-                                const std::string &value) {
-        for (size_t at; (at = path.find(key)) != std::string::npos;)
-            path.replace(at, key.size(), value);
-    };
-    expand("{study}", studyName(kind));
-    expand("{app}", app);
-    return path;
-}
-
 } // namespace
 
 StudyContext::StudyContext(StudyKind kind, const std::string &app,
@@ -66,10 +40,9 @@ StudyContext::StudyContext(StudyKind kind, const std::string &app,
       trace_(workload::generateBenchmarkTrace(app, trace_length)),
       executed_(kExecuted)
 {
-    const std::string path = resolveJournalPath(journal_path, kind, app);
-    if (path.empty())
+    if (journal_path.empty())
         return;
-    journal_ = std::make_unique<SimJournal>(path, kind_, app_,
+    journal_ = std::make_unique<SimJournal>(journal_path, kind_, app_,
                                             trace_.size());
     journalStats_ =
         journal_->replay([this](uint64_t index,
@@ -348,22 +321,6 @@ measureTrueError(StudyContext &ctx, const ml::Ensemble &model,
     out.meanPct = mean(errors);
     out.sdPct = stddev(errors);
     return out;
-}
-
-BenchScope
-BenchScope::fromEnv(const std::vector<std::string> &default_apps)
-{
-    BenchScope scope;
-    scope.apps = envList("DSE_APPS", default_apps);
-    scope.evalPoints = static_cast<size_t>(
-        envInt("DSE_EVAL_POINTS", 1000));
-    if (envBool("DSE_FULL_SPACE", false))
-        scope.evalPoints = 0;
-    scope.traceLength = static_cast<size_t>(envInt("DSE_TRACE_LEN", 0));
-    scope.maxSamplePct = envDouble("DSE_MAX_SAMPLE_PCT", 4.5);
-    scope.batch = static_cast<size_t>(envInt("DSE_BATCH", 50));
-    scope.threads = util::ThreadPool::configuredThreads();
-    return scope;
 }
 
 } // namespace study

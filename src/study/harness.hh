@@ -3,7 +3,9 @@
  * Study harness: binds an application trace to a study's design
  * space, memoizes simulations by design-point index, and provides the
  * evaluation utilities the benchmarks share (holdout construction,
- * true-error measurement, learning-curve sweeps).
+ * true-error measurement). It reads no environment variable: the
+ * benches' scope knobs are parsed in bench/common.hh, and a journal
+ * is attached only through StudyContext's journal path.
  */
 
 #ifndef DSE_STUDY_HARNESS_HH
@@ -46,15 +48,13 @@ namespace study {
  * config), so concurrent evaluation is bit-identical to serial
  * regardless of thread count or interleaving.
  *
- * Crash safety: with a journal attached (explicit path, or the
- * DSE_JOURNAL environment variable — "{study}" and "{app}"
- * placeholders expand so one setting covers multi-app sweeps), every
- * detailed simulation result is appended to an append-only
- * checksummed journal as it completes, and construction replays an
- * existing journal into the memo cache. A killed campaign resumed
- * against the same journal re-simulates nothing, and replayed
- * results are bit-identical to freshly simulated ones (see
- * journal.hh and DESIGN.md, "Failure model & recovery").
+ * Crash safety: with a journal path given, every detailed simulation
+ * result is appended to an append-only checksummed journal as it
+ * completes, and construction replays an existing journal into the
+ * memo cache. A killed campaign resumed against the same journal
+ * re-simulates nothing, and replayed results are bit-identical to
+ * freshly simulated ones (see journal.hh and DESIGN.md, "Failure
+ * model & recovery").
  */
 class StudyContext
 {
@@ -63,8 +63,7 @@ class StudyContext
      * @param kind which design space
      * @param app benchmark name (one of workload::benchmarkNames())
      * @param trace_length dynamic trace length (0 = library default)
-     * @param journal_path write-ahead journal file; "" consults the
-     *        DSE_JOURNAL environment variable (unset = no journal)
+     * @param journal_path write-ahead journal file ("" = no journal)
      */
     StudyContext(StudyKind kind, const std::string &app,
                  size_t trace_length = 0,
@@ -233,25 +232,6 @@ struct TrueError
  */
 TrueError measureTrueError(StudyContext &ctx, const ml::Ensemble &model,
                            const std::vector<uint64_t> &eval_points);
-
-/**
- * Shared benchmark-harness scope knobs (read from the environment;
- * see DESIGN.md "Per-experiment index").
- */
-struct BenchScope
-{
-    std::vector<std::string> apps;  ///< applications to run
-    size_t evalPoints = 1000;       ///< holdout size (0 = full space)
-    size_t traceLength = 0;         ///< 0 = library default
-    double maxSamplePct = 4.5;      ///< learning-curve extent (% of space)
-    size_t batch = 50;              ///< training-set increment
-    size_t threads = 1;             ///< effective worker thread count
-
-    /** Read DSE_APPS / DSE_EVAL_POINTS / DSE_THREADS / DSE_* with
-     *  these defaults (threads resolves DSE_THREADS against the
-     *  hardware, matching what the global ThreadPool will use). */
-    static BenchScope fromEnv(const std::vector<std::string> &default_apps);
-};
 
 } // namespace study
 } // namespace dse

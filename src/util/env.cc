@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-
-#include "util/table.hh"
+#include <string>
 
 namespace dse {
 
@@ -29,17 +28,6 @@ envInt(const char *name, long long fallback)
     return (end && *end == '\0') ? parsed : fallback;
 }
 
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = rawEnv(name);
-    if (!v)
-        return fallback;
-    char *end = nullptr;
-    double parsed = std::strtod(v, &end);
-    return (end && *end == '\0') ? parsed : fallback;
-}
-
 bool
 envBool(const char *name, bool fallback)
 {
@@ -53,16 +41,6 @@ envBool(const char *name, bool fallback)
     if (s == "0" || s == "false" || s == "no" || s == "off")
         return false;
     return fallback;
-}
-
-std::vector<std::string>
-envList(const char *name, const std::vector<std::string> &fallback)
-{
-    const char *v = rawEnv(name);
-    if (!v)
-        return fallback;
-    auto parts = split(v, ',');
-    return parts.empty() ? fallback : parts;
 }
 
 } // namespace dse

@@ -138,11 +138,13 @@ FaultInjector::injected(const char *site) const
 FaultInjector &
 FaultInjector::global()
 {
+    // A malformed spec throws out of this initializer, and the next
+    // call tries again; the unique_ptr frees the rejected injector.
     static FaultInjector *injector = [] {
-        auto *fi = new FaultInjector();
+        auto fi = std::make_unique<FaultInjector>();
         if (const char *spec = std::getenv("DSE_FAULTS"); spec && *spec)
             fi->configure(spec);
-        return fi;
+        return fi.release();
     }();
     return *injector;
 }

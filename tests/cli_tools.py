@@ -11,13 +11,19 @@ Checks the contract every tool shares:
 * an exploration fed by a ``dse_simworker`` prints the same per-round
   estimates as the same exploration simulated locally, and so does one
   pointed at a worker that is not there, which reports its local
-  fallbacks.
+  fallbacks and no redispatches;
+* an exploration run twice with ``--journal`` prints what the run
+  without it prints, and the second run replays every simulation;
+* a malformed ``DSE_FAULTS`` is refused before any work;
+* given the bench directory too, a paper-figure bench refuses each
+  malformed scope knob with exit 1 before it prints anything.
 
-Usage: cli_tools.py <directory holding the built tools>
+Usage: cli_tools.py <directory holding the built tools> [<bench directory>]
 
 Runs as the CliTools ctest; exits nonzero with one line per failure.
 """
 
+import json
 import os
 import re
 import signal
@@ -55,6 +61,12 @@ CASES = [
     # simulated around.
     (INVALID, "dse_explore", EXPLORE + ["--workers=127.0.0.1:7081x"]),
 ]
+# Scope knobs a bench must refuse (bench/common.hh): each exits 1,
+# names the variable, and prints nothing on stdout.
+BAD_KNOBS = [("DSE_EVAL_POINTS", "1OOO"), ("DSE_EVAL_POINTS", "-5"),
+             ("DSE_APPS", "gzip,gzp"), ("DSE_MAX_SAMPLE_PCT", "abc"),
+             ("DSE_CSV", "maybe"), ("DSE_BATCH", "0")]
+KNOB_BENCH = "fig_5_3_error_estimation_proc"
 # /dev/full takes no byte: a write to it must fail loudly.
 HAVE_DEV_FULL = os.path.exists("/dev/full")
 # A daemon that cannot write its port file must say so, not serve on
@@ -72,8 +84,9 @@ TIMEOUT_S = 120
 class Tools:
     def __init__(self, bindir):
         self.bindir = bindir
-        # Knobs such as DSE_JOURNAL or DSE_FAULTS would change what a
-        # tool does, so every run starts without them.
+        # Variables such as DSE_FAULTS or DSE_METRICS would change
+        # what a tool does, so every run starts without DSE_*; a case
+        # that needs one passes it to run().
         self.env = {k: v for k, v in os.environ.items()
                     if not k.startswith("DSE_")}
         self.failures = []
@@ -81,8 +94,9 @@ class Tools:
     def path(self, tool):
         return os.path.join(self.bindir, tool)
 
-    def run(self, tool, args, timeout=TIMEOUT_S):
-        return subprocess.run([self.path(tool), *args], env=self.env,
+    def run(self, tool, args, timeout=TIMEOUT_S, env=None):
+        return subprocess.run([self.path(tool), *args],
+                              env={**self.env, **(env or {})},
                               capture_output=True, text=True,
                               timeout=timeout)
 
@@ -93,10 +107,12 @@ class Tools:
                                       proc_or_detail.stderr.strip()[-300:])
         self.failures.append("%s: %s" % (what, detail))
 
-    def expect(self, code, tool, args, timeout=TIMEOUT_S):
-        what = "%s %s (want exit %d)" % (tool, " ".join(args), code)
+    def expect(self, code, tool, args, timeout=TIMEOUT_S, env=None):
+        what = "%s%s %s (want exit %d)" % (
+            "".join("%s=%s " % kv for kv in (env or {}).items()), tool,
+            " ".join(args), code)
         try:
-            proc = self.run(tool, args, timeout)
+            proc = self.run(tool, args, timeout, env)
         except subprocess.TimeoutExpired:
             self.fail(what, "still running after %d s" % timeout)
             return None
@@ -169,8 +185,7 @@ def check_serve_and_loadgen(tools, scratch):
         tools.stop_daemon("dse_serve", serve)
 
 
-def check_remote_matches_local(tools, scratch):
-    local = tools.expect(OK, "dse_explore", EXPLORE)
+def check_remote_matches_local(tools, scratch, local):
     worker, port = tools.start_daemon(
         "dse_simworker", os.path.join(scratch, "worker.port"), [])
     try:
@@ -200,19 +215,69 @@ def check_remote_matches_local(tools, scratch):
         if not fallbacks or int(fallbacks.group(1)) == 0:
             tools.fail("dse_explore --workers=127.0.0.1:1",
                        "no local fallbacks reported:\n" + dead.stdout)
+        # A refused connect loses no batch in flight.
+        if " 0 redispatches" not in dead.stdout:
+            tools.fail("dse_explore --workers=127.0.0.1:1",
+                       "a refused connect counted as a redispatch:\n" +
+                       dead.stdout)
+
+
+def check_journal_round_trip(tools, scratch, local):
+    journal = os.path.join(scratch, "explore.journal")
+    for run in ("first", "second"):
+        metrics = os.path.join(scratch, "metrics-%s.json" % run)
+        proc = tools.expect(OK, "dse_explore",
+                            EXPLORE + ["--journal=" + journal,
+                                       "--metrics=" + metrics])
+        if proc is None or proc.returncode != OK:
+            return  # the failure is already recorded
+        if local is not None and proc.stdout != local.stdout:
+            tools.fail("dse_explore --journal (%s run)" % run,
+                       "stdout differs from the run without it:\n%s\nvs\n%s"
+                       % (proc.stdout, local.stdout))
+    with open(metrics) as fh:
+        counters = json.load(fh)["counters"]
+    replayed = counters.get("journal.replayed")
+    executed = counters.get("sim.executed")
+    if replayed != 40 or executed != 0:
+        tools.fail("dse_explore --journal (second run)",
+                   "journal.replayed %s and sim.executed %s, want 40 and 0"
+                   % (replayed, executed))
+
+
+def check_bad_knobs(tools, bench_dir):
+    # An absolute path wins over the tools directory in Tools.path().
+    bench = os.path.join(os.path.abspath(bench_dir), KNOB_BENCH)
+    for name, value in BAD_KNOBS:
+        proc = tools.expect(USAGE, bench, [], CASE_TIMEOUT_S, {name: value})
+        if proc is not None and (name not in proc.stderr or proc.stdout):
+            tools.fail("%s=%s %s" % (name, value, KNOB_BENCH),
+                       "want the variable named on stderr and nothing on "
+                       "stdout:\n%s%s" % (proc.stderr, proc.stdout))
 
 
 def main():
-    if len(sys.argv) != 2:
-        print("usage: cli_tools.py <directory holding the built tools>",
-              file=sys.stderr)
+    if len(sys.argv) not in (2, 3):
+        print("usage: cli_tools.py <directory holding the built tools> "
+              "[<bench directory>]", file=sys.stderr)
         return 2
     tools = Tools(sys.argv[1])
     for code, tool, args in CASES:
         tools.expect(code, tool, args, CASE_TIMEOUT_S)
+    # A malformed DSE_FAULTS is invalid input, refused before the study
+    # is built or its header printed.
+    faulty = tools.expect(INVALID, "dse_explore", EXPLORE, CASE_TIMEOUT_S,
+                          {"DSE_FAULTS": "Sim:1:1"})
+    if faulty is not None and faulty.stdout:
+        tools.fail("DSE_FAULTS=Sim:1:1 dse_explore",
+                   "printed on stdout:\n" + faulty.stdout)
+    if len(sys.argv) == 3:
+        check_bad_knobs(tools, sys.argv[2])
     with tempfile.TemporaryDirectory() as scratch:
         check_serve_and_loadgen(tools, scratch)
-        check_remote_matches_local(tools, scratch)
+        local = tools.expect(OK, "dse_explore", EXPLORE)
+        check_remote_matches_local(tools, scratch, local)
+        check_journal_round_trip(tools, scratch, local)
     for line in tools.failures:
         print("FAIL " + line, file=sys.stderr)
     return 1 if tools.failures else 0

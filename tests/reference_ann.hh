@@ -28,6 +28,21 @@ namespace dse {
 namespace ml {
 namespace testref {
 
+/**
+ * One stochastic gradient-descent step of @p net on a single example:
+ * a one-row Ann::trainEpoch, for tests that step a network by hand.
+ * @return the example's squared error before the update
+ */
+inline double
+trainStep(Ann &net, const std::vector<double> &input,
+          const std::vector<double> &target)
+{
+    if (input.size() != static_cast<size_t>(net.inputs()) ||
+        target.size() != static_cast<size_t>(net.outputs()))
+        throw std::invalid_argument("trainStep: example width mismatch");
+    return net.trainEpoch(input.data(), target.data(), nullptr, 1);
+}
+
 class ReferenceAnn
 {
   public:

@@ -100,7 +100,7 @@ TEST(AnnParity, TrainStepMatchesReference)
         testref::ReferenceAnn ref(t.inputs, t.outputs, p, net.weights());
         const auto x = randomInput(rng, t.inputs);
         const auto target = randomInput(rng, t.outputs);
-        const double e_net = net.train(x, target);
+        const double e_net = testref::trainStep(net, x, target);
         const double e_ref = ref.train(x, target);
         EXPECT_NEAR(e_net, e_ref, 1e-12 * (1.0 + std::abs(e_ref)));
         EXPECT_LE(maxRelDiff(net.weights(), ref.weights()), 1e-12)
@@ -124,7 +124,7 @@ TEST(AnnParity, TrainingTrajectoryTracksReference)
     for (int step = 0; step < 100; ++step) {
         const auto x = randomInput(data_rng, 12);
         const std::vector<double> target{data_rng.uniform()};
-        net.train(x, target);
+        testref::trainStep(net, x, target);
         ref.train(x, target);
     }
     EXPECT_LE(maxRelDiff(net.weights(), ref.weights()), 1e-9);
@@ -134,9 +134,9 @@ TEST(AnnParity, TrainEpochBitIdenticalToPerExampleTrain)
 {
     // trainEpoch's contract is exact: same forward, same fused
     // backward+update sweep, same error accumulation order as the
-    // equivalent sequence of train() calls — EXPECT_EQ, no tolerance.
-    // The presentation order draws rows with replacement (repeats and
-    // gaps), as weighted presentation does.
+    // same presentations made as one-row epochs — EXPECT_EQ, no
+    // tolerance. The presentation order draws rows with replacement
+    // (repeats and gaps), as weighted presentation does.
     Rng data_rng(606);
     for (const Topology &t : kTopologies) {
         AnnParams p;
@@ -168,7 +168,7 @@ TEST(AnnParity, TrainEpochBitIdenticalToPerExampleTrain)
             const std::vector<double> ti(
                 target.begin() + static_cast<ptrdiff_t>(row * out),
                 target.begin() + static_cast<ptrdiff_t>((row + 1) * out));
-            sum_b += b.train(xi, ti);
+            sum_b += testref::trainStep(b, xi, ti);
         }
         const double sum_a = a.trainEpoch(x.data(), target.data(),
                                           order.data(), order.size());

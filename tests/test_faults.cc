@@ -31,6 +31,7 @@
 #include "ml/cross_validation.hh"
 #include "ml/io.hh"
 #include "ml/multitask.hh"
+#include "reference_ann.hh"
 #include "study/harness.hh"
 #include "study/journal.hh"
 #include "util/bytes.hh"
@@ -316,26 +317,6 @@ TEST_F(FaultsJournal, FailedHeaderWriteClosesItsDescriptor)
     EXPECT_EQ(openDescriptors(), before);
 }
 
-TEST_F(FaultsJournal, EnvVarAttachesWithPlaceholders)
-{
-    const std::string templ = tmpPath("env_{study}_{app}.journal");
-    const std::string expanded = tmpPath("env_memory-system_gzip.journal");
-    ASSERT_EQ(setenv("DSE_JOURNAL", templ.c_str(), 1), 0);
-    {
-        study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
-                                kTraceLen);
-        EXPECT_TRUE(ctx.journalActive());
-        ctx.simulateFull(3);
-    }
-    unsetenv("DSE_JOURNAL");
-    EXPECT_EQ(::access(expanded.c_str(), F_OK), 0);
-
-    // Explicit path resumes what the env-attached run journaled.
-    study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
-                            kTraceLen, expanded);
-    EXPECT_EQ(ctx.journalStats().replayed, 1u);
-}
-
 TEST_F(FaultsJournal, InjectedTornAppendIsRecoveredOnResume)
 {
     const std::string path = tmpPath("injected_torn.journal");
@@ -454,7 +435,7 @@ TEST_F(FaultsTraining, AnnFlagsNonFiniteTraining)
     EXPECT_TRUE(net.finiteWeights());
 
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    net.train({nan, 0.5}, {0.5});
+    ml::testref::trainStep(net, {nan, 0.5}, {0.5});
     EXPECT_TRUE(net.diverged());
 }
 

@@ -29,6 +29,7 @@
 #include "ml/ann.hh"
 #include "ml/explorer.hh"
 #include "ml/multitask.hh"
+#include "reference_ann.hh"
 #include "sim/core.hh"
 #include "simpoint/simpoint.hh"
 #include "simpoint/smarts.hh"
@@ -253,14 +254,6 @@ TEST(ThreadPoolTest, ConfiguredThreadsReadsEnv)
     EXPECT_GE(ThreadPool::configuredThreads(), 1u);
 }
 
-TEST(ThreadPoolTest, BenchScopeReadsThreads)
-{
-    setenv("DSE_THREADS", "5", 1);
-    EXPECT_EQ(study::BenchScope::fromEnv({"mesa"}).threads, 5u);
-    unsetenv("DSE_THREADS");
-    EXPECT_GE(study::BenchScope::fromEnv({"mesa"}).threads, 1u);
-}
-
 TEST(ParallelDeterminism, SplitMixFoldSeedsAreStableAndDistinct)
 {
     SplitMix64 a(12345), b(12345);
@@ -368,7 +361,7 @@ TEST(ParallelDeterminism, TrainEpochBitIdenticalToPerExampleAcrossThreadCounts)
 {
     // The fused epoch pipeline under the pool: six networks trained
     // concurrently via trainEpoch (one per pool task, as trainEnsemble
-    // trains folds) must match a serial per-example train() oracle
+    // trains folds) must match a serial one-row-epoch oracle
     // exactly, at every thread count. Exercises the fused
     // backward+update kernels' dispatch under concurrent execution.
     constexpr size_t kNets = 6;
@@ -395,16 +388,17 @@ TEST(ParallelDeterminism, TrainEpochBitIdenticalToPerExampleAcrossThreadCounts)
         return ml::Ann(kInputs, 1, p, rng);
     };
 
-    // Serial oracle: per-example train() calls, no pool involved.
+    // Serial oracle: one-row epochs, no pool involved.
     std::vector<std::vector<double>> expected;
     for (size_t m = 0; m < kNets; ++m) {
         ml::Ann net = make_net(m);
         for (int e = 0; e < kEpochs; ++e)
             for (uint32_t row : order)
-                net.train(std::vector<double>(
-                              x.begin() + row * kInputs,
-                              x.begin() + (row + 1) * kInputs),
-                          {target[row]});
+                ml::testref::trainStep(
+                    net,
+                    std::vector<double>(x.begin() + row * kInputs,
+                                        x.begin() + (row + 1) * kInputs),
+                    {target[row]});
         expected.push_back(net.weights());
     }
 

@@ -502,6 +502,7 @@ TEST_F(RemoteTest, EveryWorkerDeadFallsBackToLocalBitIdentical)
     const auto st = dispatcher.stats();
     EXPECT_EQ(st.completed, 0u);
     EXPECT_EQ(st.fallbacks, 3u);  // every batch exhausted to local
+    EXPECT_EQ(st.redispatches, 0u);  // no batch ever left
     // This context did the work itself.
     EXPECT_EQ(ctx.simulationsExecuted(), indices.size());
 }

@@ -178,27 +178,6 @@ TEST(Harness, HoldoutZeroMeansFullSpace)
     EXPECT_EQ(all.size(), 10u);  // 12 - 2 excluded
 }
 
-TEST(Harness, BenchScopeDefaults)
-{
-    unsetenv("DSE_APPS");
-    unsetenv("DSE_EVAL_POINTS");
-    unsetenv("DSE_FULL_SPACE");
-    const auto scope = BenchScope::fromEnv({"mesa", "mcf"});
-    EXPECT_EQ(scope.apps, (std::vector<std::string>{"mesa", "mcf"}));
-    EXPECT_EQ(scope.evalPoints, 1000u);
-}
-
-TEST(Harness, BenchScopeEnvOverrides)
-{
-    setenv("DSE_APPS", "gzip", 1);
-    setenv("DSE_EVAL_POINTS", "123", 1);
-    const auto scope = BenchScope::fromEnv({"mesa"});
-    EXPECT_EQ(scope.apps, std::vector<std::string>{"gzip"});
-    EXPECT_EQ(scope.evalPoints, 123u);
-    unsetenv("DSE_APPS");
-    unsetenv("DSE_EVAL_POINTS");
-}
-
 TEST(Harness, SimPointSelectionIsStable)
 {
     StudyContext ctx(StudyKind::Processor, "gzip", 16384);

@@ -89,14 +89,6 @@ TEST_F(EnvTest, IntParsesAndFallsBack)
     EXPECT_EQ(envInt("DSE_TEST_VAR", 7), 7);
 }
 
-TEST_F(EnvTest, DoubleParses)
-{
-    setenv("DSE_TEST_VAR", "2.5", 1);
-    EXPECT_DOUBLE_EQ(envDouble("DSE_TEST_VAR", 1.0), 2.5);
-    unsetenv("DSE_TEST_VAR");
-    EXPECT_DOUBLE_EQ(envDouble("DSE_TEST_VAR", 1.0), 1.0);
-}
-
 TEST_F(EnvTest, BoolVariants)
 {
     for (const char *v : {"1", "true", "YES", "on"}) {
@@ -109,16 +101,6 @@ TEST_F(EnvTest, BoolVariants)
     }
     setenv("DSE_TEST_VAR", "maybe", 1);
     EXPECT_TRUE(envBool("DSE_TEST_VAR", true));
-}
-
-TEST_F(EnvTest, ListSplitsOnComma)
-{
-    setenv("DSE_TEST_VAR", "mesa,mcf,crafty", 1);
-    auto v = envList("DSE_TEST_VAR", {"x"});
-    EXPECT_EQ(v, (std::vector<std::string>{"mesa", "mcf", "crafty"}));
-    unsetenv("DSE_TEST_VAR");
-    EXPECT_EQ(envList("DSE_TEST_VAR", {"x"}),
-              std::vector<std::string>{"x"});
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "study/spaces.hh"
+#include "util/fault.hh"
 #include "util/metrics.hh"
 
 namespace dse {
@@ -155,10 +156,12 @@ class Command
     }
 
     /**
-     * Parse @p argv, then return what @p body returns; --help or -h
-     * prints the usage and returns 0 instead. A failure prints one
-     * line and returns 1 for a UsageError, 2 for std::invalid_argument,
-     * 3 for any other std::exception and 4 for anything else.
+     * Parse @p argv and read DSE_FAULTS, then return what @p body
+     * returns; --help or -h prints the usage and returns 0 instead. A
+     * failure prints one line and returns 1 for a UsageError, 2 for
+     * std::invalid_argument (a malformed DSE_FAULTS among them, so it
+     * is refused before the body does any work), 3 for any other
+     * std::exception and 4 for anything else.
      */
     int
     run(int argc, char **argv, const std::function<int()> &body) const
@@ -168,6 +171,7 @@ class Command
                 printUsage(stdout);
                 return 0;
             }
+            util::FaultInjector::global();
             return body();
         } catch (const UsageError &e) {
             std::fprintf(stderr, "%s: %s\n", name_, e.what());

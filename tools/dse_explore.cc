@@ -8,7 +8,7 @@
  * Examples:
  *   dse_explore --study=processor --app=gzip --target-error=2
  *   dse_explore --study=memory --app=mcf --simpoint --max-sims=400 \
- *               --save-model=mcf.model
+ *               --save-model=mcf.model --journal=mcf.journal
  *   dse_explore --study=memory --app=mcf --load-model=mcf.model \
  *               --predict=12345 --predict=99
  *   dse_explore --study=processor --app=crafty --describe-space
@@ -47,6 +47,7 @@ struct Options
     int maxEpochs = 5000;
     cli::Metrics metrics;
     std::string workers;  ///< host:port,...
+    std::string journal;
 };
 
 const char *const kUsage =
@@ -64,6 +65,10 @@ const char *const kUsage =
     "  --predict=<index>          predict a design point (repeat)\n"
     "  --workers=<host:port,...>  remote simulation workers (failures\n"
     "                             fall back to local simulation)\n"
+    "  --journal=<path>           crash-safe simulation journal: every\n"
+    "                             result is appended as it completes,\n"
+    "                             and a rerun replays it instead of\n"
+    "                             simulating again\n"
     "  --describe-space           print the space and exit\n"
     "  --list-apps                print benchmark names and exit\n"
     "  --metrics[=path]           collect dse::obs metrics; print a\n"
@@ -132,7 +137,7 @@ explore(const Options &opts)
 
     // Refuse a malformed --workers before building the study.
     const auto endpoints = remote::parseEndpoints(opts.workers);
-    study::StudyContext ctx(opts.kind, opts.app);
+    study::StudyContext ctx(opts.kind, opts.app, 0, opts.journal);
     std::printf("%s study, %s: %llu design points, %zu-instruction "
                 "trace\n",
                 study::studyName(opts.kind), opts.app.c_str(),
@@ -228,6 +233,7 @@ main(int argc, char **argv)
         .value("--load-model", opts.loadModel)
         .value("--predict", opts.predictIndices)
         .value("--workers", opts.workers)
+        .value("--journal", opts.journal)
         .flag("--simpoint", opts.simpoint)
         .flag("--active", opts.active)
         .flag("--describe-space", opts.describeSpace)
