@@ -1,8 +1,10 @@
 #include "remote/dispatcher.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -21,7 +23,6 @@ namespace {
 const obs::Counter kDispatched("remote.dispatched");
 const obs::Counter kCompleted("remote.completed");
 const obs::Counter kRetries("remote.retries");
-const obs::Counter kHedges("remote.hedges");
 const obs::Counter kRedispatches("remote.redispatches");
 const obs::Counter kFallbacks("remote.fallbacks");
 const obs::Histogram kBatchWallNs("remote.batch_wall_ns");
@@ -32,8 +33,9 @@ constexpr int kProbeIntervalMs = 100;
 /** Seed of the backoff jitter stream (backoffDelayMs). */
 constexpr uint64_t kBackoffSeed = 0xd15e7c4ull;
 
-/** Outcome of one remote attempt (drives retry bookkeeping). */
-enum class Outcome { Ok, Timeout, Disconnected, Other };
+/** Outcome of one remote attempt: a lost connection counts as a
+ *  redispatch, any other failure only as a retry. */
+enum class Outcome { Ok, Disconnected, Failed };
 
 } // namespace
 
@@ -86,24 +88,6 @@ RemoteDispatcher::backoffDelayMs(uint64_t seed, uint64_t key,
 
 // ------------------------------------------------------------ structure
 
-struct RemoteDispatcher::Task
-{
-    std::vector<uint64_t> indices;
-    uint64_t key = 0;  ///< indices[0]; fault/backoff identity
-
-    // done is checked lock-free by the winning injector; everything
-    // else is guarded by the dispatcher mutex.
-    std::atomic<bool> done{false};
-    bool failed = false;    ///< exhausted; left to local simulation
-    bool settled = false;   ///< counted out of outstanding_
-    uint32_t attempt = 0;
-    uint64_t notBeforeNs = 0;  ///< backoff gate
-    int inflight = 0;          ///< active attempts (hedges included)
-    int lastWorker = -1;
-    bool hedgedThisAttempt = false;
-    uint64_t inflightSinceNs = 0;
-};
-
 struct RemoteDispatcher::Worker
 {
     Endpoint ep;
@@ -117,7 +101,7 @@ struct RemoteDispatcher::Worker
 
 RemoteDispatcher::Counts::Counts()
     : dispatched(kDispatched), completed(kCompleted), retries(kRetries),
-      hedges(kHedges), redispatches(kRedispatches), fallbacks(kFallbacks)
+      redispatches(kRedispatches), fallbacks(kFallbacks)
 {
 }
 
@@ -177,7 +161,6 @@ RemoteDispatcher::stats() const
     s.dispatched = counts_.dispatched.value();
     s.completed = counts_.completed.value();
     s.retries = counts_.retries.value();
-    s.hedges = counts_.hedges.value();
     s.redispatches = counts_.redispatches.value();
     s.fallbacks = counts_.fallbacks.value();
     return s;
@@ -206,76 +189,34 @@ RemoteDispatcher::prefetch(const std::vector<uint64_t> &indices)
     if (todo.empty())
         return;
 
-    std::vector<std::shared_ptr<Task>> tasks;
-    for (size_t at = 0; at < todo.size(); at += opts_.batchPoints) {
-        auto task = std::make_shared<Task>();
-        const size_t end = std::min(todo.size(), at + opts_.batchPoints);
-        task->indices.assign(todo.begin() + static_cast<ptrdiff_t>(at),
-                             todo.begin() + static_cast<ptrdiff_t>(end));
-        task->key = task->indices[0];
-        tasks.push_back(std::move(task));
-    }
-
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (auto &task : tasks)
-            queue_.push_back(task);
-        outstanding_ += tasks.size();
+        for (size_t at = 0; at < todo.size(); at += opts_.batchPoints) {
+            const size_t end = std::min(todo.size(), at + opts_.batchPoints);
+            Task task;
+            task.indices.assign(todo.begin() + static_cast<ptrdiff_t>(at),
+                                todo.begin() + static_cast<ptrdiff_t>(end));
+            queue_.push_back(std::move(task));
+            ++outstanding_;
+        }
     }
     workCv_.notify_all();
 
-    // Coordinator loop: wait for completion, hedge stragglers, and
-    // escalate to local fallback when every breaker is open. Attempts
-    // are deadline-bounded (serve::Client), retries are capped, and
-    // all-dead abandons the rest, so this loop always terminates.
+    // Coordinator: wait until every task is answered or failed. Attempts
+    // are deadline-bounded (serve::Client) and retries are capped, so
+    // each task settles; when every breaker is open, whatever the queue
+    // holds is left to the local path at once.
     std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        doneCv_.wait_for(lock, std::chrono::milliseconds(5),
-                         [&] { return outstanding_ == 0; });
-        if (outstanding_ == 0)
-            break;
-
-        const uint64_t now = nowNs();
-        if (opts_.hedgeAfterMs > 0 && workers_.size() > 1) {
-            const uint64_t after =
-                static_cast<uint64_t>(opts_.hedgeAfterMs) * 1000000ull;
-            for (auto &task : tasks) {
-                if (task->done.load(std::memory_order_acquire) ||
-                    task->failed || task->hedgedThisAttempt)
-                    continue;
-                if (task->inflight == 1 &&
-                    now - task->inflightSinceNs > after) {
-                    // Straggler: race a duplicate on another worker;
-                    // first reply wins (done flag), the loser's answer
-                    // is dropped by the dedup in attempt().
-                    task->hedgedThisAttempt = true;
-                    counts_.hedges.add();
-                    queue_.push_back(task);
-                    workCv_.notify_all();
-                }
-            }
-        }
-
+    while (!doneCv_.wait_for(lock, std::chrono::milliseconds(5),
+                             [&] { return outstanding_ == 0; })) {
         if (allBreakersOpen()) {
-            // Every worker is (believed) dead: stop queueing and let
-            // the local path absorb whatever has not completed. Tasks
-            // still in flight settle on their own within a deadline.
-            for (auto &task : tasks) {
-                if (!task->done.load(std::memory_order_acquire) &&
-                    !task->failed && task->inflight == 0)
-                    failTask(task);
-            }
+            // A task still in flight comes back within its deadline and
+            // is requeued or settled then.
+            counts_.fallbacks.add(queue_.size());
+            outstanding_ -= queue_.size();
+            queue_.clear();
         }
     }
-
-    // Drop any stale queue entries (hedge duplicates of settled
-    // tasks) so the next call starts clean.
-    queue_.erase(std::remove_if(
-                     queue_.begin(), queue_.end(),
-                     [](const std::shared_ptr<Task> &t) {
-                         return t->done.load() || t->failed;
-                     }),
-                 queue_.end());
 }
 
 std::vector<double>
@@ -290,29 +231,6 @@ RemoteDispatcher::simulateBatch(const std::vector<uint64_t> &indices)
                           : ctx_.simulateBatch(indices);
 }
 
-// must hold mu_
-void
-RemoteDispatcher::failTask(const std::shared_ptr<Task> &task)
-{
-    task->failed = true;
-    if (!task->settled) {
-        task->settled = true;
-        --outstanding_;
-        counts_.fallbacks.add();
-        doneCv_.notify_all();
-    }
-}
-
-// must hold mu_
-void
-RemoteDispatcher::requeue(const std::shared_ptr<Task> &task,
-                          uint64_t not_before_ns)
-{
-    task->notBeforeNs = not_before_ns;
-    task->hedgedThisAttempt = false;
-    queue_.push_back(task);
-}
-
 // ------------------------------------------------------- endpoint threads
 
 void
@@ -321,7 +239,7 @@ RemoteDispatcher::workerLoop(size_t wi)
     auto &w = *workers_[wi];
 
     for (;;) {
-        std::shared_ptr<Task> task;
+        std::optional<Task> task;
         {
             std::unique_lock<std::mutex> lock(mu_);
             workCv_.wait_for(lock, std::chrono::milliseconds(5), [&] {
@@ -331,30 +249,12 @@ RemoteDispatcher::workerLoop(size_t wi)
                 return;
             if (!w.open.load(std::memory_order_relaxed)) {
                 const uint64_t now = nowNs();
-                for (size_t i = 0; i < queue_.size();) {
-                    auto &t = queue_[i];
-                    if (t->done.load(std::memory_order_acquire) ||
-                        t->failed) {
-                        queue_.erase(queue_.begin() +
-                                     static_cast<ptrdiff_t>(i));
-                        continue;
-                    }
-                    const bool hedge_entry = t->inflight > 0;
-                    if (t->notBeforeNs > now ||
-                        (hedge_entry && t->lastWorker ==
-                             static_cast<int>(wi))) {
-                        ++i;
-                        continue;  // not due / own straggler
-                    }
-                    task = t;
-                    queue_.erase(queue_.begin() +
-                                 static_cast<ptrdiff_t>(i));
-                    break;
-                }
-                if (task) {
-                    ++task->inflight;
-                    task->lastWorker = static_cast<int>(wi);
-                    task->inflightSinceNs = nowNs();
+                const auto due = std::find_if(
+                    queue_.begin(), queue_.end(),
+                    [now](const Task &t) { return t.notBeforeNs <= now; });
+                if (due != queue_.end()) {
+                    task = std::move(*due);
+                    queue_.erase(due);
                 }
             }
         }
@@ -389,17 +289,15 @@ RemoteDispatcher::workerLoop(size_t wi)
             continue;
         }
 
-        Outcome outcome = Outcome::Other;
+        Outcome outcome = Outcome::Failed;
         try {
-            outcome = attempt(wi, task) ? Outcome::Ok : Outcome::Other;
+            if (attempt(wi, *task))
+                outcome = Outcome::Ok;
         } catch (const serve::ServeError &e) {
-            outcome = e.code() == serve::ErrCode::Timeout
-                ? Outcome::Timeout
-                : (e.code() == serve::ErrCode::Disconnected
-                       ? Outcome::Disconnected
-                       : Outcome::Other);
+            if (e.code() == serve::ErrCode::Disconnected)
+                outcome = Outcome::Disconnected;
         } catch (const std::exception &) {
-            outcome = Outcome::Other;
+            // Failed, like a timeout or an error reply above.
         }
 
         if (outcome != Outcome::Ok) {
@@ -415,32 +313,26 @@ RemoteDispatcher::workerLoop(size_t wi)
 
         {
             std::lock_guard<std::mutex> lock(mu_);
-            --task->inflight;
-            if (outcome == Outcome::Ok) {
-                if (!task->settled) {
-                    task->settled = true;
-                    --outstanding_;
-                    doneCv_.notify_all();
+            if (outcome != Outcome::Ok &&
+                ++task->attempt < opts_.maxAttempts) {
+                counts_.retries.add();
+                if (outcome == Outcome::Disconnected) {
+                    // The worker died with this batch in flight; it goes
+                    // back on the queue for someone else.
+                    counts_.redispatches.add();
                 }
-            } else if (!task->done.load(std::memory_order_acquire) &&
-                       !task->failed && task->inflight == 0) {
-                ++task->attempt;
-                if (task->attempt >= opts_.maxAttempts) {
-                    failTask(task);
-                } else {
-                    counts_.retries.add();
-                    if (outcome == Outcome::Disconnected) {
-                        // The worker died with this batch in flight;
-                        // it goes back on the queue for someone else.
-                        counts_.redispatches.add();
-                    }
-                    const int delay = backoffDelayMs(
-                        kBackoffSeed, task->key, task->attempt,
-                        opts_.backoffBaseMs, opts_.backoffCapMs);
-                    requeue(task, nowNs() +
-                                static_cast<uint64_t>(delay) *
-                                    1000000ull);
-                }
+                const int delay = backoffDelayMs(
+                    kBackoffSeed, task->indices[0], task->attempt,
+                    opts_.backoffBaseMs, opts_.backoffCapMs);
+                task->notBeforeNs =
+                    nowNs() + static_cast<uint64_t>(delay) * 1000000ull;
+                queue_.push_back(std::move(*task));
+            } else {
+                // Answered, or exhausted and left to local simulation.
+                if (outcome != Outcome::Ok)
+                    counts_.fallbacks.add();
+                --outstanding_;
+                doneCv_.notify_all();
             }
         }
         workCv_.notify_all();
@@ -448,7 +340,7 @@ RemoteDispatcher::workerLoop(size_t wi)
 }
 
 bool
-RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
+RemoteDispatcher::attempt(size_t wi, const Task &task)
 {
     auto &w = *workers_[wi];
     counts_.dispatched.add();
@@ -456,7 +348,7 @@ RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
     // Client-side chaos: a dropped connection, keyed per batch so the
     // decision is deterministic at any thread count.
     if (util::FaultInjector::global().shouldFail("remote.conn.drop",
-                                                 task->key)) {
+                                                 task.indices[0])) {
         w.connected = false;
         w.client.close();
         throw serve::ServeError(serve::ErrCode::Disconnected,
@@ -479,7 +371,7 @@ RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
     req.app = ctx_.app();
     req.traceLength = ctx_.trace().size();
     req.simpoint = opts_.simpoint;
-    req.indices = task->indices;
+    req.indices = task.indices;
     const serve::SimulateBatchReply reply = w.client.simulateBatch(req);
     if (reply.simpoint != opts_.simpoint)
         throw serve::ServeError(serve::ErrCode::Internal,
@@ -488,19 +380,14 @@ RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
     w.consecutiveFailures.store(0);
     w.open.store(false);
 
-    // First reply wins: a hedged duplicate that lost the race drops
-    // its (identical) answer here.
-    if (!task->done.exchange(true, std::memory_order_acq_rel)) {
-        if (reply.simpoint) {
-            for (size_t i = 0; i < task->indices.size(); ++i)
-                ctx_.injectSimPointEstimate(task->indices[i],
-                                            reply.ipc[i]);
-        } else {
-            for (size_t i = 0; i < task->indices.size(); ++i)
-                ctx_.injectResult(task->indices[i], reply.results[i]);
-        }
-        counts_.completed.add();
+    if (reply.simpoint) {
+        for (size_t i = 0; i < task.indices.size(); ++i)
+            ctx_.injectSimPointEstimate(task.indices[i], reply.ipc[i]);
+    } else {
+        for (size_t i = 0; i < task.indices.size(); ++i)
+            ctx_.injectResult(task.indices[i], reply.results[i]);
     }
+    counts_.completed.add();
 
     const uint64_t wall = nowNs() - t0;
     kBatchWallNs.observe(wall);

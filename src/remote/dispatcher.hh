@@ -4,9 +4,8 @@
  * out across simulation workers (SimWorker daemons) with the full
  * resilience kit: per-request deadlines, retry with decorrelated
  * jitter backoff, per-worker circuit breakers with half-open ping
- * probing, re-dispatch of batches in flight on a dying worker, hedged
- * duplicate dispatch for stragglers, and graceful degradation to local
- * simulation.
+ * probing, re-dispatch of batches in flight on a dying worker, and
+ * graceful degradation to local simulation.
  *
  * Correctness invariant (the headline): a worker that hangs, crashes,
  * or drops its connection costs latency, never correctness. Remote
@@ -32,9 +31,12 @@
  *
  * Threading: one persistent I/O thread per endpoint pulls batch tasks
  * from a shared queue; the caller of simulateBatch()/prefetch() acts
- * as coordinator (hedging scan, all-breakers-open escalation,
- * completion wait). The StudyContext's locked memo makes concurrent
- * result injection safe.
+ * as coordinator (completion wait, all-breakers-open escalation). A
+ * batch is in flight on at most one worker at any time: each task is
+ * either in the queue or with the one endpoint thread attempting it,
+ * so it settles exactly once, answered or left to local simulation.
+ * The StudyContext's locked memo makes concurrent result injection
+ * safe.
  */
 
 #ifndef DSE_REMOTE_DISPATCHER_HH
@@ -83,23 +85,23 @@ struct DispatcherOptions
     /** Backoff base and cap for the jittered retry delay. */
     int backoffBaseMs = 5;
     int backoffCapMs = 1000;
-    /** Hedge a batch onto a second worker once it has been in flight
-     *  this long with no reply (0 = hedging off). */
-    int hedgeAfterMs = 0;
     /** Consecutive failures that open a worker's circuit breaker. */
     uint32_t breakerThreshold = 3;
     /** Route SimPoint-estimate batches instead of detailed ones. */
     bool simpoint = false;
 };
 
-/** Dispatch counts of one dispatcher. Each field reads the owned
- *  counter that also feeds the remote.* metric of the same name. */
+/** Dispatch counts of one dispatcher. Each field but hedges reads the
+ *  owned counter that also feeds the remote.* metric of the same name. */
 struct DispatchStats
 {
-    uint64_t dispatched = 0;    ///< batch attempts sent (incl. hedges)
+    uint64_t dispatched = 0;    ///< batch attempts sent
     uint64_t completed = 0;     ///< batches answered by a worker
     uint64_t retries = 0;       ///< re-attempts after a failure
-    uint64_t hedges = 0;        ///< duplicate dispatches issued
+    /** Always 0: a batch is never in flight twice. Kept because the
+     *  end-to-end benchmark (bench/e2e) reads it and BENCHMARK.json
+     *  lists remote.hedges; both drop it together. */
+    uint64_t hedges = 0;
     uint64_t redispatches = 0;  ///< retries after a connection dropped
     uint64_t fallbacks = 0;     ///< batches exhausted to local sim
 };
@@ -148,27 +150,32 @@ class RemoteDispatcher
                               uint32_t attempt, int base_ms, int cap_ms);
 
   private:
-    struct Task;
+    /** One batch of design points. Its first index keys its fault
+     *  probes and its backoff schedule. */
+    struct Task
+    {
+        std::vector<uint64_t> indices;
+        uint32_t attempt = 0;      ///< failed attempts so far
+        uint64_t notBeforeNs = 0;  ///< backoff gate
+    };
     struct Worker;
 
     void workerLoop(size_t wi);
     /** One remote attempt of @p task on worker @p wi; returns true on
      *  success (results merged) and false when the worker could not be
      *  reached. A connection lost mid-request throws. */
-    bool attempt(size_t wi, const std::shared_ptr<Task> &task);
-    void requeue(const std::shared_ptr<Task> &task, uint64_t not_before_ns);
-    void failTask(const std::shared_ptr<Task> &task);
+    bool attempt(size_t wi, const Task &task);
     bool allBreakersOpen() const;
     static uint64_t nowNs();
 
     study::StudyContext &ctx_;
     DispatcherOptions opts_;
 
-    mutable std::mutex mu_;          ///< queue + task bookkeeping
+    std::mutex mu_;                   ///< queue + outstanding_
     std::condition_variable workCv_;  ///< wakes endpoint threads
     std::condition_variable doneCv_;  ///< wakes the coordinator
-    std::deque<std::shared_ptr<Task>> queue_;
-    size_t outstanding_ = 0;  ///< tasks neither done nor failed
+    std::deque<Task> queue_;
+    size_t outstanding_ = 0;  ///< tasks not yet answered or failed
     bool exiting_ = false;
 
     std::vector<std::unique_ptr<Worker>> workers_;
@@ -178,8 +185,8 @@ class RemoteDispatcher
     struct Counts
     {
         Counts();
-        obs::OwnedCounter dispatched, completed, retries, hedges,
-            redispatches, fallbacks;
+        obs::OwnedCounter dispatched, completed, retries, redispatches,
+            fallbacks;
     };
     Counts counts_;
 };

@@ -19,13 +19,12 @@
  *    the dispatcher; in the daemon (crashExits=true) the process
  *    _exit()s.
  *  - `remote.conn.delay`: the handler sleeps delayMs before replying,
- *    emulating a hung/overloaded worker (drives client timeouts and
- *    hedging).
+ *    emulating a hung/overloaded worker (drives client timeouts).
  *
  * Both sites key on the batch's first design-point index XOR-mixed
  * with faultSalt, so the decision is deterministic per batch at any
  * thread count, and distinct salts let a test kill a batch on one
- * worker but not on its hedge target.
+ * worker but not on the worker it is redispatched to.
  */
 
 #ifndef DSE_REMOTE_WORKER_HH

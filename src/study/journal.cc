@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include "util/bytes.hh"
@@ -86,6 +87,17 @@ SimJournal::SimJournal(std::string path, StudyKind kind,
     // A constructor that throws never runs ~SimJournal, so every
     // failure below closes the descriptor itself.
     try {
+        // One writer per file: a second journal on this path would
+        // append at its own offset over this one's records. The lock
+        // goes when the descriptor closes.
+        if (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+            const int err = errno;
+            throw std::runtime_error(
+                err == EWOULDBLOCK
+                    ? "journal is in use by another process: " + path_
+                    : "cannot lock journal: " + path_ + ": " +
+                        std::strerror(err));
+        }
         const auto header = encodeHeader(kind, app, trace_len);
         const off_t size = ::lseek(fd_, 0, SEEK_END);
         if (size == 0) {

@@ -24,6 +24,10 @@
  * read and truncated away before the next append. The header binds
  * the journal to one (study, app, trace length); replaying a journal
  * into a different study is an error, not silent corruption.
+ *
+ * One writer per file: the constructor takes an exclusive flock on
+ * the file, so a second journal on the same path, in this process or
+ * another, is refused instead of writing over the first one's records.
  */
 
 #ifndef DSE_STUDY_JOURNAL_HH
@@ -54,8 +58,8 @@ class SimJournal
     /**
      * Open (or create) the journal at @p path for the given study
      * identity. An existing file must carry a matching header.
-     * @throws std::runtime_error on I/O failure, a foreign file, or
-     *         an identity mismatch
+     * @throws std::runtime_error on I/O failure, a foreign file, an
+     *         identity mismatch, or a file another journal holds
      */
     SimJournal(std::string path, StudyKind kind, const std::string &app,
                uint64_t trace_len);

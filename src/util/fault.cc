@@ -1,8 +1,11 @@
 #include "util/fault.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -41,13 +44,13 @@ FaultInjector::configure(const std::string &spec)
                 "DSE_FAULTS entry '" + entry +
                 "' is not site:rate:seed");
         }
-        // Injections export as `faults.injected.<site>`, so a site
-        // must make a valid metric name.
-        const std::string metric = "faults.injected." + parts[0];
-        if (!obs::MetricsRegistry::validName(metric)) {
-            throw std::invalid_argument(
-                "DSE_FAULTS site '" + parts[0] +
-                "' must match ^[a-z0-9_.]+$");
+        if (std::find(std::begin(kFaultSites), std::end(kFaultSites),
+                      parts[0]) == std::end(kFaultSites)) {
+            const std::vector<std::string> valid(std::begin(kFaultSites),
+                                                 std::end(kFaultSites));
+            throw std::invalid_argument("DSE_FAULTS site '" + parts[0] +
+                                        "' is not one of " +
+                                        join(valid, ", "));
         }
         char *end = nullptr;
         const double rate = std::strtod(parts[1].c_str(), &end);
@@ -62,7 +65,8 @@ FaultInjector::configure(const std::string &spec)
             throw std::invalid_argument(
                 "DSE_FAULTS seed '" + parts[2] + "' is not an integer");
         }
-        auto site = std::make_unique<Site>(obs::Counter(metric));
+        auto site = std::make_unique<Site>(
+            obs::Counter("faults.injected." + parts[0]));
         // threshold == ~0ull is reserved to mean "always fire" so
         // rate 1 hits every key, including one whose hash is ~0ull;
         // fractional rates map onto [0, 2^64) with a clamp to keep

@@ -12,7 +12,8 @@
  *
  * e.g. `DSE_FAULTS=sim:0.1:42,fold:1:7`. A site that is not listed
  * never fails, so production runs (DSE_FAULTS unset) pay one atomic
- * load per probe and nothing else.
+ * load per probe and nothing else. Every site must be one of
+ * kFaultSites, so a misspelt site is refused instead of never firing.
  *
  * Determinism: the fail/no-fail decision for a probe is a pure
  * function of (site seed, probe key) — the key is a caller-supplied
@@ -39,6 +40,25 @@
 namespace dse {
 namespace util {
 
+/**
+ * Every site a probe names, and so every site configure() accepts.
+ * Adding a probe means adding its site here; the metric-name lint
+ * (tools/check_metrics_names.py) checks each literal probe against
+ * this list.
+ */
+inline constexpr const char *kFaultSites[] = {
+    "sim",                  // simulator execution (study/harness.cc)
+    "fold",                 // cross-validation fold training (ml)
+    "journal",              // journal appends (study/journal.cc)
+    "save",                 // model save I/O (ml/io.cc)
+    "serve.accept",         // prediction-service accept path
+    "serve.read",           // prediction-service socket reads
+    "serve.write",          // prediction-service socket writes
+    "remote.conn.drop",     // dispatcher: drop before a batch attempt
+    "remote.conn.delay",    // worker: stall a batch reply
+    "remote.worker.crash",  // worker: die mid-request, no reply
+};
+
 class FaultInjector
 {
   public:
@@ -46,10 +66,11 @@ class FaultInjector
 
     /**
      * Replace the configuration with a parsed `site:rate:seed,...`
-     * spec (empty string disables all sites). Site names must match
-     * `^[a-z0-9_.]+$` (each exports `faults.injected.<site>`) and
-     * rates must be in [0, 1].
-     * @throws std::invalid_argument on a malformed spec.
+     * spec (empty string disables all sites). Each site must be one
+     * of kFaultSites (each exports `faults.injected.<site>`) and each
+     * rate must be in [0, 1].
+     * @throws std::invalid_argument on a malformed spec or an unknown
+     *         site; the message lists the valid sites.
      */
     void configure(const std::string &spec);
 

@@ -14,7 +14,10 @@ Checks the contract every tool shares:
   fallbacks and no redispatches;
 * an exploration run twice with ``--journal`` prints what the run
   without it prints, and the second run replays every simulation;
-* a malformed ``DSE_FAULTS`` is refused before any work;
+* a journal file another process holds is refused: exit 3, nothing
+  printed, nothing written;
+* a malformed ``DSE_FAULTS``, or one naming a site no probe has, is
+  refused before any work;
 * given the bench directory too, a paper-figure bench refuses each
   malformed scope knob with exit 1 before it prints anything.
 
@@ -23,6 +26,7 @@ Usage: cli_tools.py <directory holding the built tools> [<bench directory>]
 Runs as the CliTools ctest; exits nonzero with one line per failure.
 """
 
+import fcntl
 import json
 import os
 import re
@@ -245,6 +249,22 @@ def check_journal_round_trip(tools, scratch, local):
                    % (replayed, executed))
 
 
+def check_journal_held(tools, scratch):
+    # Two writers would append over each other's records, so a journal
+    # another process holds stops the run before it prints or writes.
+    journal = os.path.join(scratch, "held.journal")
+    with open(journal, "wb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        proc = tools.expect(RUNTIME, "dse_explore",
+                            EXPLORE + ["--journal=" + journal],
+                            CASE_TIMEOUT_S)
+    size = os.path.getsize(journal)
+    if proc is not None and (proc.stdout or size):
+        tools.fail("dse_explore --journal=<held file>",
+                   "want empty stdout and a 0-byte journal, got %d bytes "
+                   "and:\n%s" % (size, proc.stdout))
+
+
 def check_bad_knobs(tools, bench_dir):
     # An absolute path wins over the tools directory in Tools.path().
     bench = os.path.join(os.path.abspath(bench_dir), KNOB_BENCH)
@@ -265,12 +285,14 @@ def main():
     for code, tool, args in CASES:
         tools.expect(code, tool, args, CASE_TIMEOUT_S)
     # A malformed DSE_FAULTS is invalid input, refused before the study
-    # is built or its header printed.
-    faulty = tools.expect(INVALID, "dse_explore", EXPLORE, CASE_TIMEOUT_S,
-                          {"DSE_FAULTS": "Sim:1:1"})
-    if faulty is not None and faulty.stdout:
-        tools.fail("DSE_FAULTS=Sim:1:1 dse_explore",
-                   "printed on stdout:\n" + faulty.stdout)
+    # is built or its header printed; so is a site no probe names,
+    # which would otherwise run the whole exploration without a fault.
+    for spec in ("Sim:1:1", "simm:1:1"):
+        faulty = tools.expect(INVALID, "dse_explore", EXPLORE,
+                              CASE_TIMEOUT_S, {"DSE_FAULTS": spec})
+        if faulty is not None and faulty.stdout:
+            tools.fail("DSE_FAULTS=%s dse_explore" % spec,
+                       "printed on stdout:\n" + faulty.stdout)
     if len(sys.argv) == 3:
         check_bad_knobs(tools, sys.argv[2])
     with tempfile.TemporaryDirectory() as scratch:
@@ -278,6 +300,7 @@ def main():
         local = tools.expect(OK, "dse_explore", EXPLORE)
         check_remote_matches_local(tools, scratch, local)
         check_journal_round_trip(tools, scratch, local)
+        check_journal_held(tools, scratch)
     for line in tools.failures:
         print("FAIL " + line, file=sys.stderr)
     return 1 if tools.failures else 0

@@ -9,7 +9,7 @@
  *
  * Suites are named Faults* (the tsan preset filter matches them) and
  * the binary carries the `faults` ctest label, so `ctest -L faults`
- * and the faults-tsan / faults-asan presets run exactly this file.
+ * (or `ctest --preset tsan -L faults`) runs exactly this file.
  */
 
 #include <gtest/gtest.h>
@@ -89,46 +89,48 @@ TEST_F(FaultsInjector, RejectsMalformedSpecs)
 {
     util::FaultInjector fi;
     EXPECT_THROW(fi.configure("nonsense"), std::invalid_argument);
-    EXPECT_THROW(fi.configure("site:notanumber:1"),
+    EXPECT_THROW(fi.configure("sim:notanumber:1"),
                  std::invalid_argument);
-    EXPECT_THROW(fi.configure("site:2:1"), std::invalid_argument);
-    EXPECT_THROW(fi.configure("site:-0.5:1"), std::invalid_argument);
-    EXPECT_THROW(fi.configure("site:0.5:xyz"), std::invalid_argument);
+    EXPECT_THROW(fi.configure("sim:2:1"), std::invalid_argument);
+    EXPECT_THROW(fi.configure("sim:-0.5:1"), std::invalid_argument);
+    EXPECT_THROW(fi.configure("sim:0.5:xyz"), std::invalid_argument);
     EXPECT_THROW(fi.configure(":0.5:1"), std::invalid_argument);
     EXPECT_THROW(fi.configure("Sim:1:1"), std::invalid_argument);
+    // A site no probe names would never fire: refused, not ignored.
+    EXPECT_THROW(fi.configure("simm:1:1"), std::invalid_argument);
     EXPECT_NO_THROW(fi.configure(""));
-    EXPECT_NO_THROW(fi.configure("a:0.5:1,b:1:2"));
+    EXPECT_NO_THROW(fi.configure("sim:0.5:1,fold:1:2"));
 }
 
 TEST_F(FaultsInjector, DecisionsAreDeterministicPerKey)
 {
     util::FaultInjector a, b;
-    a.configure("x:0.3:42");
-    b.configure("x:0.3:42");
+    a.configure("fold:0.3:42");
+    b.configure("fold:0.3:42");
     size_t fired = 0;
     for (uint64_t key = 0; key < 1000; ++key) {
-        const bool fa = a.shouldFail("x", key);
-        EXPECT_EQ(fa, b.shouldFail("x", key)) << key;
+        const bool fa = a.shouldFail("fold", key);
+        EXPECT_EQ(fa, b.shouldFail("fold", key)) << key;
         fired += fa;
     }
     // ~30% of keys fire; well away from 0% and 100%.
     EXPECT_GT(fired, 200u);
     EXPECT_LT(fired, 400u);
-    EXPECT_EQ(a.injected("x"), fired);
+    EXPECT_EQ(a.injected("fold"), fired);
     EXPECT_EQ(a.injected("unknown-site"), 0u);
 }
 
 TEST_F(FaultsInjector, RateZeroNeverFiresRateOneAlwaysFires)
 {
     util::FaultInjector fi;
-    fi.configure("off:0:1,on:1:1");
+    fi.configure("sim:0:1,save:1:1");
     for (uint64_t key = 0; key < 200; ++key) {
-        EXPECT_FALSE(fi.shouldFail("off", key));
-        EXPECT_TRUE(fi.shouldFail("on", key));
-        EXPECT_FALSE(fi.shouldFail("unconfigured", key));
+        EXPECT_FALSE(fi.shouldFail("sim", key));
+        EXPECT_TRUE(fi.shouldFail("save", key));
+        EXPECT_FALSE(fi.shouldFail("journal", key));  // unconfigured
     }
     fi.reset();
-    EXPECT_FALSE(fi.shouldFail("on", 0));
+    EXPECT_FALSE(fi.shouldFail("save", 0));
     EXPECT_FALSE(fi.active());
 }
 
@@ -282,6 +284,36 @@ TEST_F(FaultsJournal, RefusesForeignAndMismatchedFiles)
     EXPECT_THROW(study::StudyContext(study::StudyKind::MemorySystem,
                                      "gzip", kTraceLen * 2, path),
                  std::runtime_error);
+}
+
+TEST_F(FaultsJournal, SecondWriterIsRefused)
+{
+    // Two journals on one path would append over each other's
+    // records, so a second one is refused while the first is open.
+    const std::string path = tmpPath("one_writer.journal");
+    const auto indices = sampleIndices();
+    {
+        study::StudyContext a(study::StudyKind::MemorySystem, "gzip",
+                              kTraceLen, path);
+        a.simulateBatch(indices);
+        try {
+            study::StudyContext b(study::StudyKind::MemorySystem, "gzip",
+                                  kTraceLen, path);
+            FAIL() << "a second journal on one path must not open";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("in use"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The lock went with A's descriptor: C opens the file and replays
+    // every record A wrote, so A's points simulate nothing.
+    study::StudyContext c(study::StudyKind::MemorySystem, "gzip",
+                          kTraceLen, path);
+    EXPECT_EQ(c.journalStats().replayed, indices.size());
+    c.simulateBatch(indices);
+    EXPECT_EQ(c.simulationsExecuted(), 0u);
 }
 
 /** Open descriptors of this process. */

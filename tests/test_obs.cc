@@ -7,9 +7,9 @@
  * bit-for-bit identical to the instrumentation-free run (and to the
  * golden pins).
  *
- * Suites are named Obs* so the obs-tsan / obs-asan presets (and the
- * main tsan preset's filter) can select exactly this file; the binary
- * carries the `obs` ctest label.
+ * Suites are named Obs* so the tsan preset's filter selects them; the
+ * binary carries the `obs` ctest label, so `ctest -L obs` runs exactly
+ * this file.
  */
 
 #include <gtest/gtest.h>

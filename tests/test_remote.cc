@@ -13,8 +13,8 @@
  *    exactly with the faults injected, at any thread count.
  *
  * Suites are named Remote* and live in the dse_remote_tests binary
- * (label `remote`), so the remote-tsan / remote-asan presets cover
- * exactly this subsystem under the sanitizers.
+ * (label `remote`), so the tsan preset's filter selects them and
+ * `ctest -L remote` runs exactly this subsystem.
  */
 
 #include <gtest/gtest.h>
@@ -464,10 +464,11 @@ TEST_F(RemoteTest, WorkerCrashMidRunStaysBitIdentical)
         expectResultsIdentical(ctx.simulateFull(idx),
                                local.simulateFull(idx), idx);
 
-    // Every batch settled exactly once — answered or handed to the
-    // local path — and faults were actually injected.
+    // One attempt is in flight per batch, so every batch settled
+    // exactly once — answered or handed to the local path — and faults
+    // were actually injected.
     const auto st = dispatcher.stats();
-    EXPECT_GE(st.completed + st.fallbacks, 3u);
+    EXPECT_EQ(st.completed + st.fallbacks, 3u);
     EXPECT_GT(util::FaultInjector::global().injected(
                   "remote.worker.crash"),
               0u);
@@ -507,6 +508,41 @@ TEST_F(RemoteTest, EveryWorkerDeadFallsBackToLocalBitIdentical)
     EXPECT_EQ(ctx.simulationsExecuted(), indices.size());
 }
 
+TEST_F(RemoteTest, HungWorkerTimesOutToLocalBitIdentical)
+{
+    const auto indices = sampleIndices();
+    study::StudyContext local(study::StudyKind::MemorySystem, "gzip",
+                              kTraceLen);
+    const auto want = local.simulateBatch(indices);
+
+    // Every batch stalls 150 ms at the worker, past a 50 ms deadline.
+    // A timeout is a retry but not a redispatch: the worker never
+    // dropped the connection.
+    util::FaultInjector::global().configure("remote.conn.delay:1:17");
+    auto wopts = workerOptions();
+    wopts.delayMs = 150;
+    remote::SimWorker worker(wopts);
+    worker.start();
+
+    study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
+                            kTraceLen);
+    auto dopts = dispatcherOptions({worker.port()});
+    dopts.requestTimeoutMs = 50;
+    dopts.maxAttempts = 2;
+    dopts.breakerThreshold = 1000000;  // never opens
+    remote::RemoteDispatcher dispatcher(ctx, dopts);
+    EXPECT_EQ(dispatcher.simulateBatch(indices), want);
+
+    const auto st = dispatcher.stats();
+    EXPECT_EQ(st.dispatched, 6u);  // 3 batches x 2 attempts
+    EXPECT_EQ(st.retries, 3u);
+    EXPECT_EQ(st.redispatches, 0u);
+    EXPECT_EQ(st.fallbacks, 3u);
+    EXPECT_EQ(st.completed, 0u);
+    EXPECT_EQ(ctx.simulationsExecuted(), indices.size());
+    worker.stop();
+}
+
 TEST_F(RemoteTest, DropFaultCountersReconcileAtAnyThreadCount)
 {
     const auto indices = sampleIndices();
@@ -540,41 +576,6 @@ TEST_F(RemoteTest, DropFaultCountersReconcileAtAnyThreadCount)
             << threads;
         util::FaultInjector::global().reset();
     }
-}
-
-TEST_F(RemoteTest, HedgedStragglerFirstReplyWins)
-{
-    const auto indices = sampleIndices();
-    study::StudyContext local(study::StudyKind::MemorySystem, "gzip",
-                              kTraceLen);
-    const auto want = local.simulateBatch(indices);
-
-    // Every batch hangs 300ms at the worker; two endpoints into the
-    // same daemon let the coordinator hedge the straggler onto the
-    // second connection after 50ms. First reply wins, the duplicate's
-    // identical answer is dropped.
-    util::FaultInjector::global().configure("remote.conn.delay:1:17");
-    auto wopts = workerOptions();
-    wopts.delayMs = 300;
-    remote::SimWorker worker(wopts);
-    worker.start();
-
-    study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
-                            kTraceLen);
-    auto dopts = dispatcherOptions({worker.port(), worker.port()});
-    dopts.batchPoints = indices.size();  // one task
-    dopts.hedgeAfterMs = 50;
-    remote::RemoteDispatcher dispatcher(ctx, dopts);
-    EXPECT_EQ(dispatcher.simulateBatch(indices), want);
-
-    const auto st = dispatcher.stats();
-    EXPECT_EQ(st.hedges, 1u);
-    EXPECT_EQ(st.dispatched, 2u);  // original + hedge
-    EXPECT_EQ(st.completed, 1u);   // deduped: one injection
-    EXPECT_EQ(st.fallbacks, 0u);
-    EXPECT_EQ(st.retries, 0u);
-    EXPECT_EQ(ctx.simulationsExecuted(), 0u);
-    worker.stop();
 }
 
 TEST_F(RemoteTest, CrashChaosResultsIdenticalAcrossPoolSizes)

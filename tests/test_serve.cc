@@ -6,8 +6,8 @@
  * counter reconciliation against client-observed traffic.
  *
  * Suites are named Serve* and live in the dse_serve_tests binary
- * (label `serve`), so the serve-tsan / serve-asan presets cover
- * exactly this subsystem under the sanitizers.
+ * (label `serve`), so the tsan preset's filter selects them and
+ * `ctest -L serve` runs exactly this subsystem.
  */
 
 #include <gtest/gtest.h>

@@ -12,8 +12,8 @@
  * type, so a peer built from an older or newer tree keeps talking.
  *
  * Suites are named ServeFuzz* and live in the dse_serve_tests binary
- * (label `serve`), so the serve-tsan / serve-asan presets cover this
- * file too (mirroring test_journal_fuzz.cc for the journal).
+ * (label `serve`), so `ctest -L serve` covers this file too (mirroring
+ * test_journal_fuzz.cc for the journal).
  */
 
 #include <gtest/gtest.h>

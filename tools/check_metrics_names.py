@@ -18,10 +18,10 @@ errors. A tree whose src/ declares no counter and no histogram fails:
 the scan roots or the patterns no longer match the code.
 
 Also lints the fault-injection namespace: every literal
-``shouldFail("site", ...)`` probe must name a site from the allowlist
-below, which doubles as the documentation of record for DSE_FAULTS --
-a typo'd site would silently never fire, so an unknown one is an
-error here rather than a dead knob in production.
+``shouldFail("site", ...)`` probe must name a site from
+``kFaultSites`` in src/util/fault.hh, the one list of sites that
+``FaultInjector::configure`` also checks DSE_FAULTS against. A tree
+whose fault.hh holds no such list fails.
 
 Runs as the ObsMetricNamesLint ctest; exits nonzero with one line per
 violation.
@@ -43,20 +43,9 @@ HANDLE_RE = re.compile(
 # shouldFail("sim", key) probes; DOTALL because call sites split the
 # arguments across lines.
 FAULT_RE = re.compile(r"shouldFail\s*\(\s*\"([^\"]*)\"", re.DOTALL)
-# Every fault-injection site that exists in the sources. Adding a
-# probe means adding its site here (and to the DSE_FAULTS docs).
-FAULT_SITES = {
-    "sim",           # simulator execution (study/harness.cc)
-    "fold",          # cross-validation fold training (ml)
-    "journal",       # journal appends (study/journal.cc)
-    "save",          # model save I/O (ml/io.cc)
-    "serve.accept",  # prediction-service accept path
-    "serve.read",    # prediction-service socket reads
-    "serve.write",   # prediction-service socket writes
-    "remote.conn.drop",     # dispatcher: drop before a batch attempt
-    "remote.conn.delay",    # worker: stall a batch reply
-    "remote.worker.crash",  # worker: die mid-request, no reply
-}
+# The allowlist: the string literals of kFaultSites[] in fault.hh.
+FAULT_HEADER = Path("src") / "util" / "fault.hh"
+SITES_RE = re.compile(r"kFaultSites\[\]\s*=\s*\{(.*?)\};", re.DOTALL)
 # tests/ is excluded deliberately: the obs suite registers
 # intentionally-invalid names to prove registration rejects them.
 SCAN_DIRS = ("src", "bench", "tools")
@@ -69,6 +58,13 @@ def main() -> int:
     failures = []
     kinds = {}  # name -> (kind, first site)
     src_series = set()  # counters and histograms declared under src/
+    header = root / FAULT_HEADER
+    found = SITES_RE.search(header.read_text(encoding="utf-8")) \
+        if header.is_file() else None
+    fault_sites = set(re.findall(r"\"([^\"]*)\"", found.group(1))) \
+        if found else set()
+    if not fault_sites:
+        failures.append(f"{FAULT_HEADER}: no kFaultSites list found")
 
     for scan in SCAN_DIRS:
         base = root / scan
@@ -83,11 +79,10 @@ def main() -> int:
                     site_name = match.group(1)
                     line = text.count("\n", 0, match.start()) + 1
                     site = f"{path.relative_to(root)}:{line}"
-                    if site_name not in FAULT_SITES:
+                    if fault_sites and site_name not in fault_sites:
                         failures.append(
                             f"{site}: fault site '{site_name}' is not "
-                            "in the allowlist (FAULT_SITES in "
-                            "check_metrics_names.py)")
+                            f"in kFaultSites ({FAULT_HEADER})")
             matches = [(m.start(), m.group(1), m.group(2))
                        for m in REG_RE.finditer(text)]
             matches += [(m.start(), m.group(1).lower(), m.group(2))
