@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ml/cross_validation.hh"
+#include "ml/multitask.hh"
 #include "sim/config.hh"
 
 namespace dse {
@@ -175,6 +176,29 @@ ensembleDigest(const ml::Ensemble &model)
     fnv.add(static_cast<uint64_t>(model.members()));
     for (size_t m = 0; m < model.members(); ++m)
         fnv.add(model.memberWeights(m));
+    fnv.add(model.estimate().meanPct);
+    fnv.add(model.estimate().sdPct);
+    for (const auto &w : model.warnings()) {
+        fnv.add(static_cast<uint64_t>(w.fold));
+        fnv.add(static_cast<uint64_t>(w.attempts));
+    }
+    return hex(fnv.value());
+}
+
+/**
+ * Digest of a trained multi-task ensemble, which does not expose its
+ * member weights: the member count, every decoded prediction of every
+ * target on each of the @p probe rows, the primary estimate, and the
+ * fold and attempt count of every dropped fold.
+ */
+inline std::string
+ensembleDigest(const ml::MultiTaskEnsemble &model,
+               const std::vector<std::vector<double>> &probe)
+{
+    Fnv fnv;
+    fnv.add(static_cast<uint64_t>(model.members()));
+    for (const auto &x : probe)
+        fnv.add(model.predictAll(x));
     fnv.add(model.estimate().meanPct);
     fnv.add(model.estimate().sdPct);
     for (const auto &w : model.warnings()) {

@@ -18,6 +18,7 @@
 #include "fnv.hh"
 #include "ml/cross_validation.hh"
 #include "ml/explorer.hh"
+#include "ml/multitask.hh"
 #include "study/harness.hh"
 #include "util/rng.hh"
 
@@ -133,6 +134,72 @@ TEST(Golden, TrainDigestNoEarlyStopping)
     EXPECT_EQ(testfnv::ensembleDigest(
                   ml::trainEnsemble(trainPinData(), opts)),
               "0xc4ac561b479eeedc");
+}
+
+/**
+ * A synthetic set at one of the study encodings' widths (10 inputs
+ * for the memory study, 13 for the processor study), so the pins
+ * below reach the hidden layer's full four-input strips and their
+ * remainders, which the 3-input set above never does.
+ */
+ml::DataSet
+widePinData(int inputs)
+{
+    Rng rng(2025);
+    ml::DataSet data;
+    for (int i = 0; i < 80; ++i) {
+        std::vector<double> x(static_cast<size_t>(inputs));
+        for (auto &v : x)
+            v = rng.uniform();
+        double y = 0.25;
+        for (int j = 0; j < inputs; ++j)
+            y += 0.6 / inputs * x[static_cast<size_t>(j)] *
+                (1.0 - 0.5 * x[static_cast<size_t>((j + 1) % inputs)]);
+        data.add(x, y);
+    }
+    return data;
+}
+
+/** trainPinOptions' budget at default AnnParams. */
+ml::TrainOptions
+widePinOptions()
+{
+    ml::TrainOptions opts;
+    opts.folds = 5;
+    opts.maxEpochs = 400;
+    opts.esInterval = 10;
+    opts.patience = 6;
+    return opts;
+}
+
+TEST(Golden, TrainDigestMemoryStudyWidth)
+{
+    EXPECT_EQ(testfnv::ensembleDigest(
+                  ml::trainEnsemble(widePinData(10), widePinOptions())),
+              "0x0d9ae6c4013b0cb4");
+}
+
+TEST(Golden, TrainDigestProcessorStudyWidth)
+{
+    EXPECT_EQ(testfnv::ensembleDigest(
+                  ml::trainEnsemble(widePinData(13), widePinOptions())),
+              "0x5133ac840cda577b");
+}
+
+TEST(Golden, TrainDigestMultiTask)
+{
+    // Two outputs take the layered per-example kernels, not the
+    // single-output epoch body.
+    const ml::DataSet base = widePinData(13);
+    ml::MultiTaskDataSet data;
+    data.targetNames = {"ipc", "energy"};
+    for (size_t i = 0; i < base.size(); ++i)
+        data.add(base.x[i],
+                 {base.y[i], 1.2 - 0.8 * base.x[i][0] * base.y[i]});
+    EXPECT_EQ(testfnv::ensembleDigest(
+                  ml::trainMultiTaskEnsemble(data, widePinOptions()),
+                  data.x),
+              "0xf089d43cb3fe74a1");
 }
 
 TEST(Golden, ActiveLearningPickBatchSelection)
