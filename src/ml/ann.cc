@@ -492,6 +492,191 @@ fusedBackUpdate(double *__restrict w, double *__restrict dw, int in,
 }
 
 /**
+ * Four doubles as one GCC vector, lane j holding unit 4g + j of a
+ * 16-unit row. Arithmetic on it is lane-wise IEEE double arithmetic,
+ * and -ffp-contract=off covers vector operations too, so each lane
+ * rounds exactly as the scalar kernels above do. Rows are read and
+ * written through Vec4Row, the unaligned, aliasing view of four
+ * doubles in an arena. No function takes or returns a Vec4 by value:
+ * the default clone has no AVX, and a 32-byte vector in a signature
+ * would change the calling convention (-Wpsabi).
+ */
+typedef double Vec4 __attribute__((vector_size(32)));
+typedef double Vec4Row
+    __attribute__((vector_size(32), aligned(8), may_alias));
+typedef long long Vec4i __attribute__((vector_size(32)));
+typedef unsigned long long Vec4u __attribute__((vector_size(32)));
+
+/** The four-lane row of an arena starting at @p p. */
+__attribute__((always_inline)) inline Vec4Row *
+row4(double *p)
+{
+    return reinterpret_cast<Vec4Row *>(p);
+}
+
+__attribute__((always_inline)) inline const Vec4Row *
+row4(const double *p)
+{
+    return reinterpret_cast<const Vec4Row *>(p);
+}
+
+/** stableSigmoid on each lane of @p v, in place: the same operations
+ *  on the same constants in the same order. */
+__attribute__((always_inline)) inline void
+stableSigmoid4(Vec4 &v)
+{
+    using namespace sigmoid;
+    const Vec4 x = v;
+    const Vec4 zero = {0.0, 0.0, 0.0, 0.0};
+    const Vec4 one = {1.0, 1.0, 1.0, 1.0};
+    const Vec4 clamp = {kClamp, kClamp, kClamp, kClamp};
+    Vec4 a = x < zero ? -x : x;
+    a = a > clamp ? clamp : a;
+    const Vec4 y = -a;
+    const Vec4 kd = y * kLog2e + kShift;
+    const Vec4 n = kd - kShift;
+    Vec4 r = y - n * kLn2Hi;
+    r = r - n * kLn2Lo;
+    const Vec4i ki = (Vec4i)kd - std::bit_cast<int64_t>(kShift);
+    const Vec4 scale = (Vec4)((Vec4u)(ki + 1023) << 52);
+    const Vec4 r2 = r * r;
+    const Vec4 r4 = r2 * r2;
+    const Vec4 r8 = r4 * r4;
+    const Vec4 q0 = kC[0] + r * kC[1];
+    const Vec4 q1 = kC[2] + r * kC[3];
+    const Vec4 q2 = kC[4] + r * kC[5];
+    const Vec4 q3 = kC[6] + r * kC[7];
+    const Vec4 q4 = kC[8] + r * kC[9];
+    const Vec4 q5 = kC[10] + r * kC[11];
+    const double q6 = kC[12];
+    const Vec4 t0 = q0 + r2 * q1;
+    const Vec4 t1 = q2 + r2 * q3;
+    const Vec4 t2 = q4 + r2 * q5;
+    const Vec4 u0 = t0 + r4 * t1;
+    const Vec4 u1 = t2 + r4 * q6;
+    const Vec4 p = u0 + r8 * u1;
+    const Vec4 t = p * scale;
+    const Vec4 num = x >= zero ? one : t;
+    v = num / (1.0 + t);
+}
+
+/**
+ * One epoch of the default shape (one hidden layer of 16 units, one
+ * output) as a single ISA-cloned function. Per presentation it runs,
+ * lane by lane on Vec4s, exactly the arithmetic of the layered
+ * kernels the other shapes take:
+ *  1. layerForwardWideBody's hidden pass (lane i % 4 takes input i,
+ *     the bias added last), four units per Vec4;
+ *  2. stableSigmoid on each hidden lane;
+ *  3. layerForwardOne's output unit: dot4 over the 16 activations
+ *     (its four lanes are the four Vec4 lanes), the bias, a scalar
+ *     stableSigmoid;
+ *  4. the output delta;
+ *  5. fusedBackUpdateOne on the output weights;
+ *  6. updateLayer on the hidden weights, with g = eta * d.
+ * @p w0/@p dw0 are the hidden layer's [(in + 1) x 16] slabs and
+ * @p w1/@p dw1 the output unit's [17] column. Sets @p nonFinite when
+ * an example's error is not finite; returns the summed squared error
+ * in presentation order.
+ */
+DSE_TARGET_CLONES double
+trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
+                   double *__restrict w1, double *__restrict dw1, int in,
+                   const double *__restrict x, const double *__restrict t,
+                   const uint32_t *__restrict order, size_t rows,
+                   double eta, double alpha, bool *nonFinite)
+{
+    // Row i of the hidden slabs is four Vec4Rows, one per unit group.
+    const size_t n = static_cast<size_t>(in);
+    double sum = 0.0;
+    bool bad = false;
+    for (size_t p = 0; p < rows; ++p) {
+        const size_t row = order ? order[p] : p;
+        const double *xr = x + row * n;
+
+        Vec4 h[4];
+        for (size_t g = 0; g < 4; ++g) {
+            const Vec4Row *w = row4(w0) + g;  // stride 4 per input
+            Vec4 a0, a1, a2, a3;
+            size_t i = 0;
+            if (n >= 4) {
+                a0 = xr[0] * w[0];
+                a1 = xr[1] * w[4];
+                a2 = xr[2] * w[8];
+                a3 = xr[3] * w[12];
+                for (i = 4; i + 4 <= n; i += 4) {
+                    a0 += xr[i] * w[4 * i];
+                    a1 += xr[i + 1] * w[4 * i + 4];
+                    a2 += xr[i + 2] * w[4 * i + 8];
+                    a3 += xr[i + 3] * w[4 * i + 12];
+                }
+            } else {
+                a0 = a1 = a2 = a3 = Vec4{0.0, 0.0, 0.0, 0.0};
+            }
+            // i is a multiple of four here, so the at most three
+            // remaining inputs land in lanes 0, 1 and 2.
+            if (i < n)
+                a0 += xr[i] * w[4 * i];
+            if (i + 1 < n)
+                a1 += xr[i + 1] * w[4 * i + 4];
+            if (i + 2 < n)
+                a2 += xr[i + 2] * w[4 * i + 8];
+            h[g] = ((a0 + a1) + (a2 + a3)) + w[4 * n];
+        }
+        for (size_t g = 0; g < 4; ++g)
+            stableSigmoid4(h[g]);
+
+        Vec4Row *v1 = row4(w1);
+        Vec4Row *dv1 = row4(dw1);
+        const Vec4 w1v[4] = {v1[0], v1[1], v1[2], v1[3]};
+        Vec4 s = h[0] * w1v[0];
+        s += h[1] * w1v[1];
+        s += h[2] * w1v[2];
+        s += h[3] * w1v[3];
+        const double o =
+            stableSigmoid(((s[0] + s[1]) + (s[2] + s[3])) + w1[16]);
+
+        const double err = t[row] - o;
+        const double sq = err * err;
+        bad |= !std::isfinite(sq);
+        sum += sq;
+        const double dOut = err * o * (1.0 - o);
+
+        const double g0 = eta * dOut;
+        Vec4 gv[4];
+        for (size_t g = 0; g < 4; ++g) {
+            const Vec4 d = w1v[g] * dOut * h[g] * (1.0 - h[g]);
+            const Vec4 update = g0 * h[g] + alpha * dv1[g];
+            v1[g] = w1v[g] + update;
+            dv1[g] = update;
+            gv[g] = eta * d;
+        }
+        const double update = g0 + alpha * dw1[16];
+        w1[16] += update;
+        dw1[16] = update;
+
+        Vec4Row *v0 = row4(w0);
+        Vec4Row *dv0 = row4(dw0);
+        for (size_t i = 0; i < n; ++i) {
+            for (size_t g = 0; g < 4; ++g) {
+                const Vec4 u = gv[g] * xr[i] + alpha * dv0[4 * i + g];
+                v0[4 * i + g] += u;
+                dv0[4 * i + g] = u;
+            }
+        }
+        // The bias row: its input is 1, so g is added unmultiplied.
+        for (size_t g = 0; g < 4; ++g) {
+            const Vec4 u = gv[g] + alpha * dv0[4 * n + g];
+            v0[4 * n + g] += u;
+            dv0[4 * n + g] = u;
+        }
+    }
+    if (bad)
+        *nonFinite = true;
+    return sum;
+}
+
+/**
  * Per-thread scratch for the layer kernels (activation ping-pong and
  * cross-unit accumulators). Grow-only, so prediction does no heap
  * work after the first call on each thread.
@@ -652,6 +837,23 @@ Ann::predictScalar(const std::vector<double> &input) const
 double
 Ann::trainEpoch(const double *x, const double *t, const uint32_t *order,
                 size_t rows)
+{
+    if (layers_.size() == 2 && layers_[0].out == 16 &&
+        layers_[1].out == 1) {
+        const Layer &hidden = layers_[0];
+        const Layer &output = layers_[1];
+        return trainEpochHidden16(
+            w_.data() + hidden.w, dwPrev_.data() + hidden.w,
+            w_.data() + output.w, dwPrev_.data() + output.w, hidden.in,
+            x, t, order, rows, params_.learningRate, params_.momentum,
+            &diverged_);
+    }
+    return trainEpochLayered(x, t, order, rows);
+}
+
+double
+Ann::trainEpochLayered(const double *x, const double *t,
+                       const uint32_t *order, size_t rows)
 {
     const size_t in = static_cast<size_t>(inputs_);
     const size_t out = static_cast<size_t>(outputs_);

@@ -23,9 +23,10 @@
  * layer's weights once per block of up to kBlock design points and is
  * bit-for-bit identical to the single-point path. Training is a fused
  * epoch pipeline (trainEpoch): delta backprop and the momentum update
- * run as one back-to-front arena sweep per example, and the
- * presentation loop sweeps packed row-major example matrices — see
- * DESIGN.md, "Training pipeline".
+ * run as one back-to-front arena sweep per example, the presentation
+ * loop sweeps packed row-major example matrices, and the default
+ * shape's epoch is one vector-typed cloned function — see DESIGN.md,
+ * "Training pipeline".
  */
 
 #ifndef DSE_ML_ANN_HH
@@ -40,6 +41,10 @@
 
 namespace dse {
 namespace ml {
+
+namespace testref {
+struct AnnAccess;
+}
 
 /** Hyper-parameters for network construction and training. */
 struct AnnParams
@@ -67,6 +72,25 @@ struct AnnParams
 };
 
 /**
+ * The constants of stableSigmoid's e^-|x|, shared with the training
+ * epoch's four-lane copy of it (ann.cc), which must round the same.
+ */
+namespace sigmoid {
+constexpr double kClamp = 708.0;
+constexpr double kLog2e = 1.4426950408889634074;
+constexpr double kLn2Hi = 6.93147180369123816490e-01;
+constexpr double kLn2Lo = 1.90821492927058770002e-10;
+constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
+/** Taylor coefficients 1/k! of e^r, k = 0..12. */
+constexpr double kC[13] = {
+    1.0, 1.0, 0.5, 1.6666666666666666e-01, 4.1666666666666664e-02,
+    8.3333333333333332e-03, 1.3888888888888889e-03,
+    1.9841269841269841e-04, 2.4801587301587302e-05,
+    2.7557319223985893e-06, 2.7557319223985888e-07,
+    2.5052108385441720e-08, 2.0876756987868100e-09};
+} // namespace sigmoid
+
+/**
  * Numerically stable sigmoid, 1 / (1 + e^-x), evaluated via a
  * range-reduced polynomial so the whole kernel autovectorizes (no
  * libm call in the hot loop) and never overflows: |x| is clamped at
@@ -82,17 +106,14 @@ struct AnnParams
 inline double
 stableSigmoid(double x)
 {
+    using namespace sigmoid;
     double a = x < 0.0 ? -x : x;
-    if (a > 708.0)
-        a = 708.0;
+    if (a > kClamp)
+        a = kClamp;
     // e^{-a} = 2^n * e^r with n = round(-a * log2 e), |r| <= ln2 / 2.
     // The 1.5*2^52 shift trick rounds to nearest without a libm call,
     // and n is recovered from the shifted double's low mantissa bits.
     const double y = -a;
-    constexpr double kLog2e = 1.4426950408889634074;
-    constexpr double kLn2Hi = 6.93147180369123816490e-01;
-    constexpr double kLn2Lo = 1.90821492927058770002e-10;
-    constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
     const double kd = y * kLog2e + kShift;
     const double n = kd - kShift;
     double r = y - n * kLn2Hi;
@@ -108,13 +129,13 @@ stableSigmoid(double x)
     const double r2 = r * r;
     const double r4 = r2 * r2;
     const double r8 = r4 * r4;
-    const double q0 = 1.0 + r * 1.0;
-    const double q1 = 0.5 + r * 1.6666666666666666e-01;
-    const double q2 = 4.1666666666666664e-02 + r * 8.3333333333333332e-03;
-    const double q3 = 1.3888888888888889e-03 + r * 1.9841269841269841e-04;
-    const double q4 = 2.4801587301587302e-05 + r * 2.7557319223985893e-06;
-    const double q5 = 2.7557319223985888e-07 + r * 2.5052108385441720e-08;
-    const double q6 = 2.0876756987868100e-09;
+    const double q0 = kC[0] + r * kC[1];
+    const double q1 = kC[2] + r * kC[3];
+    const double q2 = kC[4] + r * kC[5];
+    const double q3 = kC[6] + r * kC[7];
+    const double q4 = kC[8] + r * kC[9];
+    const double q5 = kC[10] + r * kC[11];
+    const double q6 = kC[12];
     const double t0 = q0 + r2 * q1;
     const double t1 = q2 + r2 * q3;
     const double t2 = q4 + r2 * q5;
@@ -212,7 +233,12 @@ class Ann
      * an epoch is bit-for-bit identical to the same presentations
      * made as one-row epochs: the returned summed squared error and
      * every weight agree exactly. The rows stream from two flat
-     * buffers (see trainFolds, which packs each fold once).
+     * buffers (see trainFolds, which packs each fold once). The
+     * default shape (one hidden layer of 16 units, one output) runs
+     * the whole epoch as one ISA-cloned function on GCC vector types;
+     * every other shape runs the layered per-example kernels, whose
+     * arithmetic that body repeats lane by lane (DESIGN.md, "Training
+     * pipeline").
      *
      * Divergence detection: a non-finite example error (NaN/Inf
      * inputs, or weights that have already blown up) latches the
@@ -265,8 +291,19 @@ class Ann
         size_t act = 0;  ///< offset into act_/delta_: [out]
     };
 
+    /**
+     * trainEpoch through the per-example layered kernels: the path of
+     * every shape but one hidden layer of 16 units with one output,
+     * and the exact test oracle for that shape's epoch body
+     * (testref::AnnAccess reaches it).
+     */
+    double trainEpochLayered(const double *x, const double *t,
+                             const uint32_t *order, size_t rows);
+
     /** One presentation: forward + fused backward/update sweep. */
     double trainExample(const double *x, const double *t);
+
+    friend struct testref::AnnAccess;
 
     int inputs_;
     int outputs_;

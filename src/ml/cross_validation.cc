@@ -30,34 +30,6 @@ const obs::Counter kFoldsDropped("train.folds_dropped");
 const obs::Histogram kFoldWallNs("train.fold_wall_ns");
 
 /**
- * Cumulative presentation weights for one fold's training rows
- * (inverse-target weighting on the primary target, Section 3.3),
- * enabling O(log n) draws.
- */
-std::vector<double>
-presentationCdf(const std::vector<double> &y,
-                const std::vector<size_t> &rows, bool weighted)
-{
-    std::vector<double> cdf(rows.size());
-    double acc = 0.0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const double t = std::abs(y[rows[i]]);
-        acc += weighted ? 1.0 / std::max(t, 1e-6) : 1.0;
-        cdf[i] = acc;
-    }
-    return cdf;
-}
-
-size_t
-drawRow(const std::vector<double> &cdf, Rng &rng)
-{
-    const double r = rng.uniform() * cdf.back();
-    const auto it = std::upper_bound(cdf.begin(), cdf.end(), r);
-    return static_cast<size_t>(std::min<ptrdiff_t>(
-        it - cdf.begin(), static_cast<ptrdiff_t>(cdf.size()) - 1));
-}
-
-/**
  * Mean model error on a set of rows, as defined by the options, of
  * the primary output (output 0, decoded by @p scaler) against @p y.
  */
@@ -154,6 +126,47 @@ scoreChunks(const Ensemble &ensemble, BatchEval eval,
 }
 
 } // namespace
+
+PresentationDraw::PresentationDraw(const std::vector<double> &y,
+                                   const std::vector<size_t> &rows,
+                                   bool weighted)
+    : cdf_(rows.size()), guide_(rows.size())
+{
+    double acc = 0.0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const double t = std::abs(y[rows[i]]);
+        acc += weighted ? 1.0 / std::max(t, 1e-6) : 1.0;
+        cdf_[i] = acc;
+    }
+    if (rows.empty())
+        return;
+    scale_ = static_cast<double>(rows.size()) / acc;
+    for (size_t b = 0; b < guide_.size(); ++b)
+        guide_[b] = static_cast<uint32_t>(
+            std::upper_bound(cdf_.begin(), cdf_.end(),
+                             static_cast<double>(b) / scale_) -
+            cdf_.begin());
+}
+
+uint32_t
+PresentationDraw::draw(Rng &rng) const
+{
+    const size_t m = cdf_.size();
+    const double r = rng.uniform() * cdf_.back();
+    // Bucket floor(r * scale_), clamped to the last one (a NaN total
+    // lands there too). Its guide entry is upper_bound of the
+    // bucket's lower edge, so the scan below usually steps up a row
+    // or two; stepping down covers rounding at the bucket edge.
+    const double bucket = r * scale_;
+    size_t i = guide_[bucket < static_cast<double>(m - 1)
+                          ? static_cast<size_t>(bucket)
+                          : m - 1];
+    while (i > 0 && cdf_[i - 1] > r)
+        --i;
+    while (i < m && cdf_[i] <= r)
+        ++i;
+    return static_cast<uint32_t>(std::min(i, m - 1));
+}
 
 Ensemble::Ensemble(std::vector<Ann> nets, TargetScaler scaler,
                    ErrorEstimate estimate,
@@ -423,8 +436,8 @@ trainFolds(const std::vector<std::vector<double>> &x,
         Rng fold_rng(seed);
         Ann net(static_cast<int>(in_w), static_cast<int>(outs), opts.ann,
                 fold_rng);
-        const auto cdf =
-            presentationCdf(y, train_rows, opts.weightedPresentation);
+        const PresentationDraw draws(y, train_rows,
+                                     opts.weightedPresentation);
 
         // Pack the fold's training rows once: epochs sweep two flat
         // row-major buffers ([rows x inputs] and [rows x outputs])
@@ -467,7 +480,7 @@ trainFolds(const std::vector<std::vector<double>> &x,
             // loop did), then hand the packed fold to the fused epoch
             // kernel — bit-identical to presenting the rows one by one.
             for (size_t p = 0; p < n_rows; ++p)
-                order[p] = static_cast<uint32_t>(drawRow(cdf, fold_rng));
+                order[p] = draws.draw(fold_rng);
             const double epoch_sq = net.trainEpoch(
                 fold_x.data(), fold_t.data(), order.data(), n_rows);
             kEpochs.add();

@@ -242,6 +242,32 @@ class Ensemble
     std::vector<TrainWarning> warnings_;
 };
 
+/**
+ * Weighted presentation draws over one fold's training rows (Section
+ * 3.3): row i is drawn with probability proportional to
+ * 1 / max(|y[rows[i]]|, 1e-6) when weighted, uniformly otherwise.
+ * A draw takes one rng.uniform() and returns the index (into @p rows)
+ * that std::upper_bound over the cumulative weights gives, clamped to
+ * the last row. A guide table of one entry per row lets a draw start
+ * next to that index and scan to it in O(1) expected steps instead of
+ * a binary search; the guide only shortens the scan, so the result
+ * is upper_bound's whatever the guide holds.
+ */
+class PresentationDraw
+{
+  public:
+    PresentationDraw(const std::vector<double> &y,
+                     const std::vector<size_t> &rows, bool weighted);
+
+    /** Draw one row index in [0, rows.size()); rows must be nonempty. */
+    uint32_t draw(Rng &rng) const;
+
+  private:
+    std::vector<double> cdf_;      ///< cumulative weights, row order
+    std::vector<uint32_t> guide_;  ///< [b] = upper_bound(cdf_, b / scale_)
+    double scale_ = 0.0;           ///< rows / total weight
+};
+
 /** What trainFolds returns: the surviving fold networks and more. */
 struct FoldTraining
 {

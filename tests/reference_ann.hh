@@ -43,6 +43,22 @@ trainStep(Ann &net, const std::vector<double> &input,
     return net.trainEpoch(input.data(), target.data(), nullptr, 1);
 }
 
+/**
+ * Test-only access to Ann's layered epoch: the per-example kernels
+ * that every shape but one hidden layer of 16 units with one output
+ * trains through, and the exact oracle for that shape's
+ * vector-typed epoch body.
+ */
+struct AnnAccess
+{
+    static double
+    trainEpochLayered(Ann &net, const double *x, const double *t,
+                      const uint32_t *order, size_t rows)
+    {
+        return net.trainEpochLayered(x, t, order, rows);
+    }
+};
+
 class ReferenceAnn
 {
   public:

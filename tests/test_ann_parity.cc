@@ -181,6 +181,58 @@ TEST(AnnParity, TrainEpochBitIdenticalToPerExampleTrain)
     }
 }
 
+TEST(AnnParity, EpochBodyBitIdenticalToLayeredKernels)
+{
+    // One hidden layer of 16 units with one output trains through a
+    // vector-typed epoch body; testref::AnnAccess reaches the layered
+    // per-example kernels every other shape takes. They must agree
+    // exactly at every input width: 1 to 3 take the hidden pass's
+    // in < 4 branch, 4 to 17 every strip remainder. The order draws
+    // rows with replacement, and three epochs at decaying rates carry
+    // momentum from one epoch into the next.
+    Rng data_rng(909);
+    for (int inputs = 1; inputs <= 17; ++inputs) {
+        AnnParams p;
+        Rng rng_a(910), rng_b(910);
+        Ann a(inputs, 1, p, rng_a);
+        Ann b(inputs, 1, p, rng_b);
+
+        const size_t rows = 23;
+        const size_t in = static_cast<size_t>(inputs);
+        std::vector<double> x(rows * in);
+        std::vector<double> target(rows);
+        for (auto &v : x)
+            v = data_rng.uniform();
+        for (auto &v : target)
+            v = 0.1 + 0.8 * data_rng.uniform();
+        std::vector<uint32_t> order(3 * rows);
+        for (auto &o : order)
+            o = static_cast<uint32_t>(data_rng.below(rows));
+
+        for (int epoch = 0; epoch < 3; ++epoch) {
+            const double eta = p.learningRate / (1.0 + epoch);
+            a.setLearningRate(eta);
+            b.setLearningRate(eta);
+            const double sum_a = a.trainEpoch(x.data(), target.data(),
+                                              order.data(), order.size());
+            const double sum_b = testref::AnnAccess::trainEpochLayered(
+                b, x.data(), target.data(), order.data(), order.size());
+            EXPECT_EQ(sum_a, sum_b)
+                << inputs << " inputs, epoch " << epoch;
+        }
+        EXPECT_EQ(a.weights(), b.weights()) << inputs << " inputs";
+        EXPECT_FALSE(a.diverged());
+
+        // A non-finite input latches diverged() on both paths.
+        x[in * (rows / 2)] = std::nan("");
+        a.trainEpoch(x.data(), target.data(), nullptr, rows);
+        testref::AnnAccess::trainEpochLayered(b, x.data(), target.data(),
+                                              nullptr, rows);
+        EXPECT_TRUE(a.diverged()) << inputs << " inputs";
+        EXPECT_TRUE(b.diverged()) << inputs << " inputs";
+    }
+}
+
 TEST(AnnParity, TrainEpochTrajectoryTracksReference)
 {
     // The fused epoch pipeline vs the pre-rewrite per-example oracle

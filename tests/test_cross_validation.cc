@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "ml/cross_validation.hh"
 #include "util/rng.hh"
@@ -205,6 +207,53 @@ TEST(CrossValidation, WeightedPresentationFavoursSmallTargets)
         ferr += percentageError(flat.predict({a, 1.0}), target);
     }
     EXPECT_LT(werr, ferr);
+}
+
+TEST(CrossValidation, PresentationDrawMatchesUpperBound)
+{
+    // The guide table only shortens the scan: every draw must return
+    // the row std::upper_bound finds over the cumulative weights,
+    // from the same uniform. The targets repeat values, span six
+    // decades (long and short buckets), include 0 (weight 1e6) and
+    // infinity (weight 0, a flat CDF step), and come in both
+    // weightings and at sizes 1 to 200.
+    Rng data_rng(77);
+    for (size_t m : {1, 2, 3, 20, 57, 200}) {
+        std::vector<double> y(m);
+        for (auto &v : y)
+            v = std::pow(10.0, -3.0 + 6.0 * data_rng.uniform());
+        if (m > 2) {
+            y[1] = 0.0;
+            y[m - 1] = std::numeric_limits<double>::infinity();
+            y[m / 2] = y[m / 3];
+        }
+        std::vector<size_t> rows(m);
+        for (size_t i = 0; i < m; ++i)
+            rows[i] = m - 1 - i;  // draw order differs from y's order
+        for (bool weighted : {true, false}) {
+            std::vector<double> cdf(m);
+            double acc = 0.0;
+            for (size_t i = 0; i < m; ++i) {
+                acc += weighted
+                    ? 1.0 / std::max(std::abs(y[rows[i]]), 1e-6)
+                    : 1.0;
+                cdf[i] = acc;
+            }
+            const PresentationDraw draws(y, rows, weighted);
+            Rng a(m), b(m);
+            for (int k = 0; k < 20000; ++k) {
+                const double r = b.uniform() * cdf.back();
+                const size_t want = std::min<size_t>(
+                    static_cast<size_t>(
+                        std::upper_bound(cdf.begin(), cdf.end(), r) -
+                        cdf.begin()),
+                    m - 1);
+                ASSERT_EQ(draws.draw(a), want)
+                    << "m=" << m << " weighted=" << weighted
+                    << " draw " << k;
+            }
+        }
+    }
 }
 
 TEST(CrossValidation, EarlyStoppingOffStillTrains)
