@@ -4,6 +4,7 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -245,18 +246,33 @@ RemoteDispatcher::workerLoop(size_t wi)
             workCv_.wait_for(lock, std::chrono::milliseconds(5), [&] {
                 return exiting_ || !queue_.empty();
             });
-            if (exiting_)
-                return;
-            if (!w.open.load(std::memory_order_relaxed)) {
+            // A closed breaker takes the first task past its backoff
+            // gate. While every queued task is still inside its
+            // backoff, sleep until the earliest gate rather than
+            // rescan at once; a push or exit wakes the thread early.
+            while (!exiting_ && !queue_.empty() &&
+                   !w.open.load(std::memory_order_relaxed)) {
                 const uint64_t now = nowNs();
-                const auto due = std::find_if(
-                    queue_.begin(), queue_.end(),
-                    [now](const Task &t) { return t.notBeforeNs <= now; });
+                uint64_t gate = std::numeric_limits<uint64_t>::max();
+                auto due = queue_.begin();
+                for (; due != queue_.end(); ++due) {
+                    if (due->notBeforeNs <= now)
+                        break;
+                    gate = std::min(gate, due->notBeforeNs);
+                }
                 if (due != queue_.end()) {
                     task = std::move(*due);
                     queue_.erase(due);
+                    break;
                 }
+                workCv_.wait_until(
+                    lock, std::chrono::steady_clock::time_point(
+                              std::chrono::duration_cast<
+                                  std::chrono::steady_clock::duration>(
+                                  std::chrono::nanoseconds(gate))));
             }
+            if (exiting_)
+                return;
         }
 
         if (!task) {
