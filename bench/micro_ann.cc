@@ -16,6 +16,7 @@
 #include "sim/cache.hh"
 #include "study/spaces.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 #include "workload/generator.hh"
 
 using namespace dse;
@@ -54,15 +55,18 @@ BM_AnnTrainEpoch(benchmark::State &state)
 {
     // The fused epoch pipeline as trainEnsemble drives it: packed
     // example matrices, a drawn presentation order, one trainEpoch
-    // call per epoch. Compare items/s against BM_AnnTrainStep for the
-    // win from the epoch loop itself (no per-row vector indirection).
+    // call per epoch. Arguments are the hidden width and the input
+    // width (10 and 13 are the memory and processor studies' encoded
+    // widths). Compare items/s against BM_AnnTrainStep for the win
+    // from the epoch loop itself (no per-row vector indirection).
     Rng rng(2);
     ml::AnnParams p;
     p.hiddenUnits = static_cast<int>(state.range(0));
     p.learningRate = 0.1;
-    ml::Ann net(16, 1, p, rng);
+    const int inputs = static_cast<int>(state.range(1));
+    ml::Ann net(inputs, 1, p, rng);
     const size_t rows = 256;
-    std::vector<double> x(rows * 16);
+    std::vector<double> x(rows * static_cast<size_t>(inputs));
     std::vector<double> t(rows);
     for (auto &v : x)
         v = rng.uniform();
@@ -76,6 +80,43 @@ BM_AnnTrainEpoch(benchmark::State &state)
             net.trainEpoch(x.data(), t.data(), order.data(), rows));
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(rows));
+}
+
+void
+BM_TrainFolds(benchmark::State &state)
+{
+    // One k-fold ensemble per iteration, as Explorer::step trains it
+    // after every round: 250 rows of 13 inputs (the size of the
+    // processor study's last round in bench/e2e's gzip-active) at
+    // default AnnParams, on a global pool of state.range(0) threads.
+    // Patience outlasts maxEpochs, so every fold runs every epoch,
+    // early-stopping checks included, and items/s is epochs/s.
+    static const ml::DataSet data = [] {
+        Rng rng(31);
+        ml::DataSet d;
+        for (int i = 0; i < 250; ++i) {
+            std::vector<double> x(13);
+            for (auto &v : x)
+                v = rng.uniform();
+            double y = 0.25;
+            for (size_t j = 0; j < x.size(); ++j)
+                y += 0.05 * x[j] * (1.0 - 0.5 * x[(j + 1) % x.size()]);
+            d.add(x, y);
+        }
+        return d;
+    }();
+    ml::TrainOptions opts;
+    opts.maxEpochs = 100;
+    opts.patience = opts.maxEpochs;
+    opts.seed = 7;
+    util::ThreadPool::resetGlobal(static_cast<size_t>(state.range(0)));
+    for (auto _ : state) {
+        const ml::Ensemble model = ml::trainEnsemble(data, opts);
+        benchmark::DoNotOptimize(model.estimate().meanPct);
+    }
+    util::ThreadPool::resetGlobal();
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            opts.folds * opts.maxEpochs);
 }
 
 void
@@ -159,7 +200,17 @@ BM_TraceGeneration(benchmark::State &state)
 
 BENCHMARK(BM_AnnForward)->Arg(16)->Arg(32);
 BENCHMARK(BM_AnnTrainStep)->Arg(16)->Arg(32);
-BENCHMARK(BM_AnnTrainEpoch)->Arg(16)->Arg(32);
+BENCHMARK(BM_AnnTrainEpoch)
+    ->Args({16, 16})
+    ->Args({32, 16})
+    ->Args({16, 10})
+    ->Args({16, 13});
+BENCHMARK(BM_TrainFolds)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AnnPredictBatch)->Arg(64)->Arg(1024);
 BENCHMARK(BM_EnsemblePredictSpace)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CacheAccess)->Arg(1)->Arg(8);

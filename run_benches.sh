@@ -79,6 +79,7 @@ for b in build/bench/*; do
             case "$out" in
               BENCH_ann.json)
                 gate=(--bench 'BM_AnnTrainStep/.*'
+                      --bench 'BM_TrainFolds/.*'
                       --bench 'BM_EnsemblePredictSpace')
                 ;;
               BENCH_explore.json)
