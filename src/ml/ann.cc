@@ -527,9 +527,9 @@ stableSigmoid4(Vec4 &v)
 {
     using namespace sigmoid;
     const Vec4 x = v;
-    const Vec4 zero = {0.0, 0.0, 0.0, 0.0};
-    const Vec4 one = {1.0, 1.0, 1.0, 1.0};
-    const Vec4 clamp = {kClamp, kClamp, kClamp, kClamp};
+    const Vec4 zero = {};
+    const Vec4 one = zero + 1.0;
+    const Vec4 clamp = zero + kClamp;
     Vec4 a = x < zero ? -x : x;
     a = a > clamp ? clamp : a;
     const Vec4 y = -a;
@@ -594,10 +594,12 @@ trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
         const size_t row = order ? order[p] : p;
         const double *xr = x + row * n;
 
-        Vec4 h[4];
+        Vec4 h[4] = {};
         for (size_t g = 0; g < 4; ++g) {
             const Vec4Row *w = row4(w0) + g;  // stride 4 per input
-            Vec4 a0, a1, a2, a3;
+            // Lanes start from the first strip's products, or at zero
+            // when there is no full strip (n < 4).
+            Vec4 a0 = {}, a1 = {}, a2 = {}, a3 = {};
             size_t i = 0;
             if (n >= 4) {
                 a0 = xr[0] * w[0];
@@ -610,8 +612,6 @@ trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
                     a2 += xr[i + 2] * w[4 * i + 8];
                     a3 += xr[i + 3] * w[4 * i + 12];
                 }
-            } else {
-                a0 = a1 = a2 = a3 = Vec4{0.0, 0.0, 0.0, 0.0};
             }
             // i is a multiple of four here, so the at most three
             // remaining inputs land in lanes 0, 1 and 2.
@@ -643,7 +643,7 @@ trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
         const double dOut = err * o * (1.0 - o);
 
         const double g0 = eta * dOut;
-        Vec4 gv[4];
+        Vec4 gv[4] = {};
         for (size_t g = 0; g < 4; ++g) {
             const Vec4 d = w1v[g] * dOut * h[g] * (1.0 - h[g]);
             const Vec4 update = g0 * h[g] + alpha * dv1[g];

@@ -189,10 +189,15 @@ TEST(AnnParity, EpochBodyBitIdenticalToLayeredKernels)
     // exactly at every input width: 1 to 3 take the hidden pass's
     // in < 4 branch, 4 to 17 every strip remainder. The order draws
     // rows with replacement, and three epochs at decaying rates carry
-    // momentum from one epoch into the next.
+    // momentum from one epoch into the next. Besides the default
+    // initialization, weights on [-1, 1] put the hidden sums near 1,
+    // where a last-bit difference in a sum survives the sigmoid
+    // instead of vanishing under its output's rounding.
     Rng data_rng(909);
-    for (int inputs = 1; inputs <= 17; ++inputs) {
+    for (int cell = 0; cell < 2 * 17; ++cell) {
+        const int inputs = 1 + cell % 17;
         AnnParams p;
+        p.initWeightRange = cell < 17 ? AnnParams{}.initWeightRange : 1.0;
         Rng rng_a(910), rng_b(910);
         Ann a(inputs, 1, p, rng_a);
         Ann b(inputs, 1, p, rng_b);
@@ -217,10 +222,12 @@ TEST(AnnParity, EpochBodyBitIdenticalToLayeredKernels)
                                               order.data(), order.size());
             const double sum_b = testref::AnnAccess::trainEpochLayered(
                 b, x.data(), target.data(), order.data(), order.size());
-            EXPECT_EQ(sum_a, sum_b)
-                << inputs << " inputs, epoch " << epoch;
+            EXPECT_EQ(sum_a, sum_b) << inputs << " inputs, init range "
+                                    << p.initWeightRange << ", epoch "
+                                    << epoch;
         }
-        EXPECT_EQ(a.weights(), b.weights()) << inputs << " inputs";
+        EXPECT_EQ(a.weights(), b.weights())
+            << inputs << " inputs, init range " << p.initWeightRange;
         EXPECT_FALSE(a.diverged());
 
         // A non-finite input latches diverged() on both paths.
