@@ -638,7 +638,8 @@ trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
 
         const double err = t[row] - o;
         const double sq = err * err;
-        bad |= !std::isfinite(sq);
+        if (!std::isfinite(sq))
+            bad = true;
         sum += sq;
         const double dOut = err * o * (1.0 - o);
 
