@@ -24,10 +24,19 @@
 #  if __has_attribute(target_clones)
 #    define DSE_TARGET_CLONES \
         __attribute__((target_clones("default", "avx2", "avx512f")))
+#    define DSE_CLONES_AVX2 \
+        __attribute__((target_clones("default", "avx2")))
 #  endif
 #endif
 #ifndef DSE_TARGET_CLONES
 #  define DSE_TARGET_CLONES
+#  define DSE_CLONES_AVX2
+#endif
+// The default shape's eight-lane epoch body is one function compiled
+// for AVX-512F and chosen at run time by a CPU check, not an ifunc, so
+// sanitized builds run it too.
+#if defined(__x86_64__)
+#  define DSE_HAVE_LANES8 1
 #endif
 
 namespace dse {
@@ -492,85 +501,90 @@ fusedBackUpdate(double *__restrict w, double *__restrict dw, int in,
 }
 
 /**
- * Four doubles as one GCC vector, lane j holding unit 4g + j of a
- * 16-unit row. Arithmetic on it is lane-wise IEEE double arithmetic,
- * and -ffp-contract=off covers vector operations too, so each lane
- * rounds exactly as the scalar kernels above do. Rows are read and
- * written through Vec4Row, the unaligned, aliasing view of four
- * doubles in an arena. No function takes or returns a Vec4 by value:
- * the default clone has no AVX, and a 32-byte vector in a signature
- * would change the calling convention (-Wpsabi).
+ * L doubles as one GCC vector, lane j holding unit L g + j of a
+ * 16-unit row in vector g. Arithmetic on it is lane-wise IEEE double
+ * arithmetic, and -ffp-contract=off covers vector operations too, so
+ * each lane rounds exactly as the scalar kernels above do. Rows are
+ * read and written through Row, the unaligned, aliasing view of L
+ * doubles in an arena. No function takes or returns a vector by
+ * value: a function compiled without AVX would pass it differently
+ * (-Wpsabi).
  */
-typedef double Vec4 __attribute__((vector_size(32)));
-typedef double Vec4Row
-    __attribute__((vector_size(32), aligned(8), may_alias));
-typedef long long Vec4i __attribute__((vector_size(32)));
-typedef unsigned long long Vec4u __attribute__((vector_size(32)));
-
-/** The four-lane row of an arena starting at @p p. */
-__attribute__((always_inline)) inline Vec4Row *
-row4(double *p)
+template <int L>
+struct Lanes
 {
-    return reinterpret_cast<Vec4Row *>(p);
-}
+    typedef double V __attribute__((vector_size(8 * L)));
+    typedef double Row __attribute__((vector_size(8 * L), aligned(8),
+                                      may_alias));
+    typedef long long I __attribute__((vector_size(8 * L)));
+    typedef unsigned long long U __attribute__((vector_size(8 * L)));
+};
+typedef Lanes<4>::V Vec4;
 
-__attribute__((always_inline)) inline const Vec4Row *
-row4(const double *p)
+/** The L-lane rows of an arena starting at @p p. */
+template <int L>
+__attribute__((always_inline)) inline typename Lanes<L>::Row *
+laneRows(double *p)
 {
-    return reinterpret_cast<const Vec4Row *>(p);
+    return reinterpret_cast<typename Lanes<L>::Row *>(p);
 }
 
 /** stableSigmoid on each lane of @p v, in place: the same operations
  *  on the same constants in the same order. */
+template <int L>
 __attribute__((always_inline)) inline void
-stableSigmoid4(Vec4 &v)
+stableSigmoidLanes(typename Lanes<L>::V &v)
 {
     using namespace sigmoid;
-    const Vec4 x = v;
-    const Vec4 zero = {};
-    const Vec4 one = zero + 1.0;
-    const Vec4 clamp = zero + kClamp;
-    Vec4 a = x < zero ? -x : x;
+    using V = typename Lanes<L>::V;
+    using I = typename Lanes<L>::I;
+    using U = typename Lanes<L>::U;
+    const V x = v;
+    const V zero = {};
+    const V one = zero + 1.0;
+    const V clamp = zero + kClamp;
+    V a = x < zero ? -x : x;
     a = a > clamp ? clamp : a;
-    const Vec4 y = -a;
-    const Vec4 kd = y * kLog2e + kShift;
-    const Vec4 n = kd - kShift;
-    Vec4 r = y - n * kLn2Hi;
+    const V y = -a;
+    const V kd = y * kLog2e + kShift;
+    const V n = kd - kShift;
+    V r = y - n * kLn2Hi;
     r = r - n * kLn2Lo;
-    const Vec4i ki = (Vec4i)kd - std::bit_cast<int64_t>(kShift);
-    const Vec4 scale = (Vec4)((Vec4u)(ki + 1023) << 52);
-    const Vec4 r2 = r * r;
-    const Vec4 r4 = r2 * r2;
-    const Vec4 r8 = r4 * r4;
-    const Vec4 q0 = kC[0] + r * kC[1];
-    const Vec4 q1 = kC[2] + r * kC[3];
-    const Vec4 q2 = kC[4] + r * kC[5];
-    const Vec4 q3 = kC[6] + r * kC[7];
-    const Vec4 q4 = kC[8] + r * kC[9];
-    const Vec4 q5 = kC[10] + r * kC[11];
+    const I ki = (I)kd - std::bit_cast<int64_t>(kShift);
+    const V scale = (V)((U)(ki + 1023) << 52);
+    const V r2 = r * r;
+    const V r4 = r2 * r2;
+    const V r8 = r4 * r4;
+    const V q0 = kC[0] + r * kC[1];
+    const V q1 = kC[2] + r * kC[3];
+    const V q2 = kC[4] + r * kC[5];
+    const V q3 = kC[6] + r * kC[7];
+    const V q4 = kC[8] + r * kC[9];
+    const V q5 = kC[10] + r * kC[11];
     const double q6 = kC[12];
-    const Vec4 t0 = q0 + r2 * q1;
-    const Vec4 t1 = q2 + r2 * q3;
-    const Vec4 t2 = q4 + r2 * q5;
-    const Vec4 u0 = t0 + r4 * t1;
-    const Vec4 u1 = t2 + r4 * q6;
-    const Vec4 p = u0 + r8 * u1;
-    const Vec4 t = p * scale;
-    const Vec4 num = x >= zero ? one : t;
+    const V t0 = q0 + r2 * q1;
+    const V t1 = q2 + r2 * q3;
+    const V t2 = q4 + r2 * q5;
+    const V u0 = t0 + r4 * t1;
+    const V u1 = t2 + r4 * q6;
+    const V p = u0 + r8 * u1;
+    const V t = p * scale;
+    const V num = x >= zero ? one : t;
     v = num / (1.0 + t);
 }
 
 /**
  * One epoch of the default shape (one hidden layer of 16 units, one
- * output) as a single ISA-cloned function. Per presentation it runs,
- * lane by lane on Vec4s, exactly the arithmetic of the layered
- * kernels the other shapes take:
+ * output), written once over the lane count L (4 or 8 hidden units
+ * per vector, G = 16 / L vectors per arena row). Per presentation it
+ * runs, lane by lane, exactly the arithmetic of the layered kernels
+ * the other shapes take:
  *  1. layerForwardWideBody's hidden pass (lane i % 4 takes input i,
- *     the bias added last), four units per Vec4;
+ *     the bias added last), L units per vector;
  *  2. stableSigmoid on each hidden lane;
  *  3. layerForwardOne's output unit: dot4 over the 16 activations
- *     (its four lanes are the four Vec4 lanes), the bias, a scalar
- *     stableSigmoid;
+ *     (lane j adds units j, 4 + j, 8 + j and 12 + j in that order),
+ *     the bias, a scalar stableSigmoid;
  *  4. the output delta;
  *  5. fusedBackUpdateOne on the output weights;
  *  6. updateLayer on the hidden weights, with g = eta * d.
@@ -579,14 +593,22 @@ stableSigmoid4(Vec4 &v)
  * an example's error is not finite; returns the summed squared error
  * in presentation order.
  */
-DSE_TARGET_CLONES double
+template <int L>
+__attribute__((always_inline)) inline double
 trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
                    double *__restrict w1, double *__restrict dw1, int in,
                    const double *__restrict x, const double *__restrict t,
                    const uint32_t *__restrict order, size_t rows,
                    double eta, double alpha, bool *nonFinite)
 {
-    // Row i of the hidden slabs is four Vec4Rows, one per unit group.
+    using V = typename Lanes<L>::V;
+    using Row = typename Lanes<L>::Row;
+    // Row i of the hidden slabs is G Rows, one per unit group. The
+    // hidden pass sweeps the inputs once per B groups with four
+    // accumulators each: both groups at eight lanes (AVX-512 has 32
+    // vector registers), one group at a time at four (AVX2 has 16).
+    constexpr size_t G = 16 / L;
+    constexpr size_t B = L == 8 ? 2 : 1;
     const size_t n = static_cast<size_t>(in);
     double sum = 0.0;
     bool bad = false;
@@ -594,45 +616,67 @@ trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
         const size_t row = order ? order[p] : p;
         const double *xr = x + row * n;
 
-        Vec4 h[4] = {};
-        for (size_t g = 0; g < 4; ++g) {
-            const Vec4Row *w = row4(w0) + g;  // stride 4 per input
+        V h[G];
+        for (size_t gb = 0; gb < G; gb += B) {
+            const Row *w = laneRows<L>(w0) + gb;  // stride G per input
             // Lanes start from the first strip's products, or at zero
             // when there is no full strip (n < 4).
-            Vec4 a0 = {}, a1 = {}, a2 = {}, a3 = {};
+            V a0[B] = {}, a1[B] = {}, a2[B] = {}, a3[B] = {};
             size_t i = 0;
             if (n >= 4) {
-                a0 = xr[0] * w[0];
-                a1 = xr[1] * w[4];
-                a2 = xr[2] * w[8];
-                a3 = xr[3] * w[12];
+                for (size_t g = 0; g < B; ++g) {
+                    a0[g] = xr[0] * w[g];
+                    a1[g] = xr[1] * w[G + g];
+                    a2[g] = xr[2] * w[2 * G + g];
+                    a3[g] = xr[3] * w[3 * G + g];
+                }
                 for (i = 4; i + 4 <= n; i += 4) {
-                    a0 += xr[i] * w[4 * i];
-                    a1 += xr[i + 1] * w[4 * i + 4];
-                    a2 += xr[i + 2] * w[4 * i + 8];
-                    a3 += xr[i + 3] * w[4 * i + 12];
+                    for (size_t g = 0; g < B; ++g) {
+                        a0[g] += xr[i] * w[G * i + g];
+                        a1[g] += xr[i + 1] * w[G * i + G + g];
+                        a2[g] += xr[i + 2] * w[G * i + 2 * G + g];
+                        a3[g] += xr[i + 3] * w[G * i + 3 * G + g];
+                    }
                 }
             }
             // i is a multiple of four here, so the at most three
             // remaining inputs land in lanes 0, 1 and 2.
-            if (i < n)
-                a0 += xr[i] * w[4 * i];
-            if (i + 1 < n)
-                a1 += xr[i + 1] * w[4 * i + 4];
-            if (i + 2 < n)
-                a2 += xr[i + 2] * w[4 * i + 8];
-            h[g] = ((a0 + a1) + (a2 + a3)) + w[4 * n];
+            for (size_t g = 0; g < B; ++g) {
+                if (i < n)
+                    a0[g] += xr[i] * w[G * i + g];
+                if (i + 1 < n)
+                    a1[g] += xr[i + 1] * w[G * i + G + g];
+                if (i + 2 < n)
+                    a2[g] += xr[i + 2] * w[G * i + 2 * G + g];
+                h[gb + g] = ((a0[g] + a1[g]) + (a2[g] + a3[g])) +
+                    w[G * n + g];
+            }
         }
-        for (size_t g = 0; g < 4; ++g)
-            stableSigmoid4(h[g]);
+        for (size_t g = 0; g < G; ++g)
+            stableSigmoidLanes<L>(h[g]);
 
-        Vec4Row *v1 = row4(w1);
-        Vec4Row *dv1 = row4(dw1);
-        const Vec4 w1v[4] = {v1[0], v1[1], v1[2], v1[3]};
-        Vec4 s = h[0] * w1v[0];
-        s += h[1] * w1v[1];
-        s += h[2] * w1v[2];
-        s += h[3] * w1v[3];
+        Row *v1 = laneRows<L>(w1);
+        Row *dv1 = laneRows<L>(dw1);
+        V w1v[G], prod[G];
+        for (size_t g = 0; g < G; ++g) {
+            w1v[g] = v1[g];
+            prod[g] = h[g] * w1v[g];
+        }
+        // dot4's lane j adds units j, 4 + j, 8 + j and 12 + j in that
+        // order: the four products at four lanes, or the low and high
+        // halves of the two at eight.
+        Vec4 s;
+        if constexpr (L == 4) {
+            s = prod[0];
+            s += prod[1];
+            s += prod[2];
+            s += prod[3];
+        } else {
+            s = __builtin_shufflevector(prod[0], prod[0], 0, 1, 2, 3);
+            s += __builtin_shufflevector(prod[0], prod[0], 4, 5, 6, 7);
+            s += __builtin_shufflevector(prod[1], prod[1], 0, 1, 2, 3);
+            s += __builtin_shufflevector(prod[1], prod[1], 4, 5, 6, 7);
+        }
         const double o =
             stableSigmoid(((s[0] + s[1]) + (s[2] + s[3])) + w1[16]);
 
@@ -644,10 +688,10 @@ trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
         const double dOut = err * o * (1.0 - o);
 
         const double g0 = eta * dOut;
-        Vec4 gv[4] = {};
-        for (size_t g = 0; g < 4; ++g) {
-            const Vec4 d = w1v[g] * dOut * h[g] * (1.0 - h[g]);
-            const Vec4 update = g0 * h[g] + alpha * dv1[g];
+        V gv[G];
+        for (size_t g = 0; g < G; ++g) {
+            const V d = w1v[g] * dOut * h[g] * (1.0 - h[g]);
+            const V update = g0 * h[g] + alpha * dv1[g];
             v1[g] = w1v[g] + update;
             dv1[g] = update;
             gv[g] = eta * d;
@@ -656,26 +700,53 @@ trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
         w1[16] += update;
         dw1[16] = update;
 
-        Vec4Row *v0 = row4(w0);
-        Vec4Row *dv0 = row4(dw0);
+        Row *v0 = laneRows<L>(w0);
+        Row *dv0 = laneRows<L>(dw0);
         for (size_t i = 0; i < n; ++i) {
-            for (size_t g = 0; g < 4; ++g) {
-                const Vec4 u = gv[g] * xr[i] + alpha * dv0[4 * i + g];
-                v0[4 * i + g] += u;
-                dv0[4 * i + g] = u;
+            for (size_t g = 0; g < G; ++g) {
+                const V u = gv[g] * xr[i] + alpha * dv0[G * i + g];
+                v0[G * i + g] += u;
+                dv0[G * i + g] = u;
             }
         }
         // The bias row: its input is 1, so g is added unmultiplied.
-        for (size_t g = 0; g < 4; ++g) {
-            const Vec4 u = gv[g] + alpha * dv0[4 * n + g];
-            v0[4 * n + g] += u;
-            dv0[4 * n + g] = u;
+        for (size_t g = 0; g < G; ++g) {
+            const V u = gv[g] + alpha * dv0[G * n + g];
+            v0[G * n + g] += u;
+            dv0[G * n + g] = u;
         }
     }
     if (bad)
         *nonFinite = true;
     return sum;
 }
+
+/** The epoch body at four lanes, for CPUs without AVX-512F. */
+DSE_CLONES_AVX2 double
+trainEpochHidden16x4(double *__restrict w0, double *__restrict dw0,
+                     double *__restrict w1, double *__restrict dw1, int in,
+                     const double *__restrict x, const double *__restrict t,
+                     const uint32_t *__restrict order, size_t rows,
+                     double eta, double alpha, bool *nonFinite)
+{
+    return trainEpochHidden16<4>(w0, dw0, w1, dw1, in, x, t, order, rows,
+                                 eta, alpha, nonFinite);
+}
+
+#ifdef DSE_HAVE_LANES8
+/** The epoch body at eight lanes; call it only where
+ *  __builtin_cpu_supports("avx512f") holds. */
+__attribute__((target("avx512f"))) double
+trainEpochHidden16x8(double *__restrict w0, double *__restrict dw0,
+                     double *__restrict w1, double *__restrict dw1, int in,
+                     const double *__restrict x, const double *__restrict t,
+                     const uint32_t *__restrict order, size_t rows,
+                     double eta, double alpha, bool *nonFinite)
+{
+    return trainEpochHidden16<8>(w0, dw0, w1, dw1, in, x, t, order, rows,
+                                 eta, alpha, nonFinite);
+}
+#endif
 
 /**
  * Per-thread scratch for the layer kernels (activation ping-pong and
@@ -841,15 +912,39 @@ Ann::trainEpoch(const double *x, const double *t, const uint32_t *order,
 {
     if (layers_.size() == 2 && layers_[0].out == 16 &&
         layers_[1].out == 1) {
-        const Layer &hidden = layers_[0];
-        const Layer &output = layers_[1];
-        return trainEpochHidden16(
-            w_.data() + hidden.w, dwPrev_.data() + hidden.w,
-            w_.data() + output.w, dwPrev_.data() + output.w, hidden.in,
-            x, t, order, rows, params_.learningRate, params_.momentum,
-            &diverged_);
+        static const int lanes = widestLanes();
+        return trainEpochLanes(lanes, x, t, order, rows);
     }
     return trainEpochLayered(x, t, order, rows);
+}
+
+int
+Ann::widestLanes()
+{
+#ifdef DSE_HAVE_LANES8
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return 8;
+#endif
+    return 4;
+}
+
+double
+Ann::trainEpochLanes(int lanes, const double *x, const double *t,
+                     const uint32_t *order, size_t rows)
+{
+    assert(lanes == 4 || lanes <= widestLanes());
+    const Layer &hidden = layers_[0];
+    const Layer &output = layers_[1];
+    auto body = trainEpochHidden16x4;
+#ifdef DSE_HAVE_LANES8
+    if (lanes == 8)
+        body = trainEpochHidden16x8;
+#endif
+    return body(w_.data() + hidden.w, dwPrev_.data() + hidden.w,
+                w_.data() + output.w, dwPrev_.data() + output.w,
+                hidden.in, x, t, order, rows, params_.learningRate,
+                params_.momentum, &diverged_);
 }
 
 double

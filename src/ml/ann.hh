@@ -300,6 +300,18 @@ class Ann
     double trainEpochLayered(const double *x, const double *t,
                              const uint32_t *order, size_t rows);
 
+    /**
+     * trainEpoch of the default shape through its epoch body at
+     * @p lanes hidden units per vector: 4, or 8 where widestLanes()
+     * is 8. Every width computes the same bits.
+     */
+    double trainEpochLanes(int lanes, const double *x, const double *t,
+                           const uint32_t *order, size_t rows);
+
+    /** The widest epoch body this CPU runs: 8 lanes with AVX-512F,
+     *  else 4. trainEpoch takes it. */
+    static int widestLanes();
+
     /** One presentation: forward + fused backward/update sweep. */
     double trainExample(const double *x, const double *t);
 

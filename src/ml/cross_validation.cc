@@ -163,6 +163,12 @@ PresentationDraw::draw(Rng &rng) const
                           : m - 1];
     while (i > 0 && cdf_[i - 1] > r)
         --i;
+    // Now i <= upper_bound's row u. A step is taken only while
+    // cdf_[i] <= r, which stops at u, so the first two steps go
+    // without a branch on the data and the loop finishes exactly
+    // (a NaN r compares false everywhere and steps nowhere).
+    i += i < m && cdf_[i] <= r;
+    i += i < m && cdf_[i] <= r;
     while (i < m && cdf_[i] <= r)
         ++i;
     return static_cast<uint32_t>(std::min(i, m - 1));

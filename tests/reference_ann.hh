@@ -44,10 +44,11 @@ trainStep(Ann &net, const std::vector<double> &input,
 }
 
 /**
- * Test-only access to Ann's layered epoch: the per-example kernels
- * that every shape but one hidden layer of 16 units with one output
- * trains through, and the exact oracle for that shape's
- * vector-typed epoch body.
+ * Test-only access to Ann's two epoch paths: the layered per-example
+ * kernels that every shape but one hidden layer of 16 units with one
+ * output trains through, and that shape's vector-typed epoch body at
+ * each lane width this CPU runs. The layered kernels are the body's
+ * exact oracle.
  */
 struct AnnAccess
 {
@@ -57,6 +58,17 @@ struct AnnAccess
     {
         return net.trainEpochLayered(x, t, order, rows);
     }
+
+    /** The default shape's epoch body at @p lanes (4, or 8 when
+     *  widestLanes() is 8). */
+    static double
+    trainEpochLanes(Ann &net, int lanes, const double *x, const double *t,
+                    const uint32_t *order, size_t rows)
+    {
+        return net.trainEpochLanes(lanes, x, t, order, rows);
+    }
+
+    static int widestLanes() { return Ann::widestLanes(); }
 };
 
 class ReferenceAnn

@@ -181,18 +181,20 @@ TEST(AnnParity, TrainEpochBitIdenticalToPerExampleTrain)
     }
 }
 
-TEST(AnnParity, EpochBodyBitIdenticalToLayeredKernels)
+/**
+ * Train the default shape through its epoch body at @p lanes against
+ * the layered per-example kernels every other shape takes: they must
+ * agree exactly at every input width. 1 to 3 take the hidden pass's
+ * in < 4 branch, 4 to 17 every strip remainder. The order draws rows
+ * with replacement, and three epochs at decaying rates carry momentum
+ * from one epoch into the next. Besides the default initialization,
+ * weights on [-1, 1] put the hidden sums near 1, where a last-bit
+ * difference in a sum survives the sigmoid instead of vanishing under
+ * its output's rounding.
+ */
+void
+expectEpochBodyMatchesLayered(int lanes)
 {
-    // One hidden layer of 16 units with one output trains through a
-    // vector-typed epoch body; testref::AnnAccess reaches the layered
-    // per-example kernels every other shape takes. They must agree
-    // exactly at every input width: 1 to 3 take the hidden pass's
-    // in < 4 branch, 4 to 17 every strip remainder. The order draws
-    // rows with replacement, and three epochs at decaying rates carry
-    // momentum from one epoch into the next. Besides the default
-    // initialization, weights on [-1, 1] put the hidden sums near 1,
-    // where a last-bit difference in a sum survives the sigmoid
-    // instead of vanishing under its output's rounding.
     Rng data_rng(909);
     for (int cell = 0; cell < 2 * 17; ++cell) {
         const int inputs = 1 + cell % 17;
@@ -218,26 +220,43 @@ TEST(AnnParity, EpochBodyBitIdenticalToLayeredKernels)
             const double eta = p.learningRate / (1.0 + epoch);
             a.setLearningRate(eta);
             b.setLearningRate(eta);
-            const double sum_a = a.trainEpoch(x.data(), target.data(),
-                                              order.data(), order.size());
+            const double sum_a = testref::AnnAccess::trainEpochLanes(
+                a, lanes, x.data(), target.data(), order.data(),
+                order.size());
             const double sum_b = testref::AnnAccess::trainEpochLayered(
                 b, x.data(), target.data(), order.data(), order.size());
-            EXPECT_EQ(sum_a, sum_b) << inputs << " inputs, init range "
+            EXPECT_EQ(sum_a, sum_b) << lanes << " lanes, " << inputs
+                                    << " inputs, init range "
                                     << p.initWeightRange << ", epoch "
                                     << epoch;
         }
         EXPECT_EQ(a.weights(), b.weights())
-            << inputs << " inputs, init range " << p.initWeightRange;
+            << lanes << " lanes, " << inputs << " inputs, init range "
+            << p.initWeightRange;
         EXPECT_FALSE(a.diverged());
 
         // A non-finite input latches diverged() on both paths.
         x[in * (rows / 2)] = std::nan("");
-        a.trainEpoch(x.data(), target.data(), nullptr, rows);
+        testref::AnnAccess::trainEpochLanes(a, lanes, x.data(),
+                                            target.data(), nullptr, rows);
         testref::AnnAccess::trainEpochLayered(b, x.data(), target.data(),
                                               nullptr, rows);
-        EXPECT_TRUE(a.diverged()) << inputs << " inputs";
+        EXPECT_TRUE(a.diverged()) << lanes << " lanes, " << inputs
+                                  << " inputs";
         EXPECT_TRUE(b.diverged()) << inputs << " inputs";
     }
+}
+
+TEST(AnnParity, EpochBodyBitIdenticalToLayeredKernels)
+{
+    // One hidden layer of 16 units with one output trains through one
+    // epoch body at the widest lane count the CPU runs; each width it
+    // runs must match the layered kernels bit for bit.
+    expectEpochBodyMatchesLayered(4);
+    if (testref::AnnAccess::widestLanes() < 8)
+        GTEST_SKIP() << "no AVX-512F on this CPU: checked the 4-lane "
+                        "epoch body only, not the 8-lane one";
+    expectEpochBodyMatchesLayered(8);
 }
 
 TEST(AnnParity, TrainEpochTrajectoryTracksReference)
