@@ -317,8 +317,10 @@ RemoteDispatcher::workerLoop(size_t wi)
         }
 
         if (outcome != Outcome::Ok) {
+            // Reset, so the worker skips the abandoned batch if it is
+            // still queued there.
             w.connected = false;
-            w.client.close();
+            w.client.abort();
             const uint32_t fails =
                 w.consecutiveFailures.fetch_add(1) + 1;
             if (fails >= opts_.breakerThreshold) {

@@ -90,6 +90,16 @@ Client::close()
 }
 
 void
+Client::abort()
+{
+    if (fd_ >= 0) {
+        const linger reset{1, 0};
+        setsockopt(fd_, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    }
+    close();
+}
+
+void
 Client::connect(const std::string &host, uint16_t port, int timeout_ms)
 {
     close();

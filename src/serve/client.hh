@@ -68,6 +68,15 @@ class Client
     void close();
 
     /**
+     * Close with a reset instead of an orderly shutdown. The server
+     * sees the connection fail at once and drops what it still holds
+     * for it: a queued SimulateBatch is not run. After close() it
+     * would read EOF, keep the connection to answer what it owes, and
+     * run the request for nobody.
+     */
+    void abort();
+
+    /**
      * Per-operation deadline. Every typed helper — and every low-level
      * send/recv — completes or raises ServeError(Timeout) within this
      * budget; there is no code path that blocks indefinitely on a dead

@@ -856,6 +856,11 @@ Server::handleOne(const Request &req)
 void
 Server::handleSimulateBatch(const Request &req)
 {
+    // The client has gone (a dispatcher resets the connection of an
+    // attempt it gave up on): nobody would read the reply, so do not
+    // simulate.
+    if (req.conn->closed.load(std::memory_order_acquire))
+        return;
     SimulateBatchRequest sim;
     if (!SimulateBatchRequest::decode(req.frame.payload, sim)) {
         sendError(req.conn, req.frame.id, ErrCode::BadRequest,

@@ -17,10 +17,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -312,6 +314,54 @@ TEST(ServeShutdown, StopDrainsQueuedRequests)
     }
     stopper.join();
     EXPECT_EQ(predictions, kQueued);
+}
+
+TEST(ServeShutdown, SimulateBatchOfAGoneClientIsSkipped)
+{
+    // One worker thread: the first SimulateBatch holds it on a latch
+    // while the second waits in the queue. The client then resets the
+    // connection, as a dispatcher does with an attempt it gave up on.
+    // The queued request must not reach the handler.
+    auto opts = testOptions();
+    opts.workers = 1;
+    serve::Server server(opts);
+    std::atomic<int> calls{0};
+    std::latch entered(1), release(1);
+    server.setSimulateHandler(
+        [&](const serve::SimulateBatchRequest &,
+            serve::SimulateBatchReply &, std::string &) {
+            if (calls.fetch_add(1) == 0) {
+                entered.count_down();
+                release.wait();
+            }
+            return serve::SimulateVerdict::Reply;
+        });
+    server.start();
+
+    auto client = connectTo(server);
+    serve::SimulateBatchRequest req;
+    req.app = "gzip";
+    req.indices = {1};
+    const std::string payload = req.encode();
+    client.sendFrame(serve::MsgType::SimulateBatch, payload);
+    client.sendFrame(serve::MsgType::SimulateBatch, payload);
+    entered.wait();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.statsSnapshot().queueDepth < 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server.statsSnapshot().queueDepth, 1u);
+
+    client.abort();
+    while (server.statsSnapshot().activeConnections > 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server.statsSnapshot().activeConnections, 0u);
+
+    release.count_down();
+    server.stop();
+    EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(ServeStats, CountersReconcileWithClientTraffic)
