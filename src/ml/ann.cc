@@ -519,7 +519,6 @@ struct Lanes
     typedef long long I __attribute__((vector_size(8 * L)));
     typedef unsigned long long U __attribute__((vector_size(8 * L)));
 };
-typedef Lanes<4>::V Vec4;
 
 /** The L-lane rows of an arena starting at @p p. */
 template <int L>
@@ -665,7 +664,7 @@ trainEpochHidden16(double *__restrict w0, double *__restrict dw0,
         // dot4's lane j adds units j, 4 + j, 8 + j and 12 + j in that
         // order: the four products at four lanes, or the low and high
         // halves of the two at eight.
-        Vec4 s;
+        Lanes<4>::V s;
         if constexpr (L == 4) {
             s = prod[0];
             s += prod[1];
@@ -933,7 +932,7 @@ double
 Ann::trainEpochLanes(int lanes, const double *x, const double *t,
                      const uint32_t *order, size_t rows)
 {
-    assert(lanes == 4 || lanes <= widestLanes());
+    assert(lanes == 4 || lanes == widestLanes());
     const Layer &hidden = layers_[0];
     const Layer &output = layers_[1];
     auto body = trainEpochHidden16x4;
